@@ -11,6 +11,12 @@ Conventions: feature maps are NCHW; reductions accumulate in float64 and are
 cast back to the input dtype; shape errors name the operator and extents.
 Arrays passed in are never mutated (batch-norm running statistics, which the
 caller owns as plain arrays, are the one documented exception).
+
+Convolution, the hot path of training, is shift-and-accumulate rather than
+im2col: ``conv2d`` pads its input once into a channels-last buffer and runs
+each kernel tap as a 1x1 GEMM over a shifted block of that buffer, so no
+kh*kw-times column matrix is built, and its backward closure keeps only the
+padded input (see ``conv2d``).
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import itertools
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BurnmapError
 
@@ -330,7 +335,23 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with (F,C,kh,kw) kernels, zero padded."""
+    """Cross-correlation of NCHW input with (F,C,kh,kw) kernels, zero padded.
+
+    Shift-and-accumulate: the input is padded once into a channels-last
+    buffer ``xp`` of shape (N,Hp,Wp,C), and each of the kh*kw kernel taps
+    runs as one GEMM of a (pixels, C) block of ``xp`` against that tap's
+    (C,F) weights, accumulated into the output. At stride 1 the block of tap
+    (i, j) is the row range starting at ``i*Wp + j`` of ``xp`` viewed as
+    (N*Hp*Wp, C): no tap is copied, the output is computed on the padded
+    grid and cropped to (Ho, Wo), and the grid's border rows are wasted
+    work. At stride 2 each tap's strided slice of ``xp`` is copied; it is a
+    quarter of the input.
+
+    Backward scatters the output gradient into the same grid, then per tap
+    takes the kernel gradient as block.T @ grad and adds grad @ tap.T into
+    the input gradient's block. The closure keeps ``xp`` (about the size of
+    the input) and the kernel, not a kh*kw-times column buffer.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.data.shape}, kernel {w.data.shape}")
@@ -343,36 +364,66 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     hp, wp = h + 2 * padding, width + 2 * padding
     if hp < kh or wp < kw:
         raise ShapeError(f"conv2d: padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    dt = np.result_type(x.data, w.data)
+    offsets = list(itertools.product(range(kh), range(kw)))
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * ho * wo, c * kh * kw
-    )
-    w2d = w.data.reshape(f, c * kh * kw)
-    data = (col @ w2d.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    xp = np.zeros((n, hp, wp, c), dt)
+    xp[:, padding : padding + h, padding : padding + width] = x.data.transpose(0, 2, 3, 1)
+    taps = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dt)  # (kh,kw,C,F)
+
+    if stride == 1:
+        # Output pixel (b, y, x) is grid row b*Hp*Wp + y*Wp + x, and tap
+        # (i, j) reads the input row i*Wp + j further on. Rows [0, m) hold
+        # every output pixel, and each tap's row range stays inside xp.
+        m = n * hp * wp - (kh - 1) * wp - (kw - 1)
+        grid_shape = (n, hp, wp, f)
+
+        def window(buf, i, j):
+            off = i * wp + j
+            return buf.reshape(-1, buf.shape[-1])[off : off + m]
+
+    else:
+        m = n * ho * wo
+        grid_shape = (n, ho, wo, f)
+
+        def window(buf, i, j):
+            return buf[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+
+    def block(i, j):  # (m, C); a copy only at stride 2
+        return window(xp, i, j).reshape(m, c)
+
+    grid = np.zeros(grid_shape, dt)
+    acc = grid.reshape(-1, f)[:m]
+    part = np.empty((m, f), dt)
+    for k, (i, j) in enumerate(offsets):
+        np.matmul(block(i, j), taps[i, j], out=part if k else acc)
+        if k:
+            acc += part
+    data = np.ascontiguousarray(grid[:, :ho, :wo].transpose(0, 3, 1, 2))
 
     def backward(flow):
         out = []
-        flow2d = np.ascontiguousarray(flow.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+        g = np.zeros(grid_shape, dt)
+        g[:, :ho, :wo] = flow.transpose(0, 2, 3, 1)
+        g = g.reshape(-1, f)[:m]
         if w.requires_grad:
-            out.append((w, (flow2d.T @ col).reshape(f, c, kh, kw)))
+            dtaps = np.empty((kh, kw, c, f), dt)
+            for i, j in offsets:
+                np.matmul(block(i, j).T, g, out=dtaps[i, j])
+            out.append((w, np.ascontiguousarray(dtaps.transpose(3, 2, 0, 1))))
         if x.requires_grad:
-            dcol = (flow2d @ w2d).reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
             dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[
-                        :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
-                    ] += dcol[:, :, :, :, i, j]
-            if padding:
-                out.append((x, dxp[:, :, padding:-padding, padding:-padding]))
-            else:
-                out.append((x, dxp))
+            part = np.empty((m, c), dt)
+            for i, j in offsets:
+                np.matmul(g, taps[i, j].T, out=part)
+                view = window(dxp, i, j)
+                view += part.reshape(view.shape)
+            dx = dxp[:, padding : padding + h, padding : padding + width]
+            out.append((x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2))))
         return out
 
-    return _make(np.ascontiguousarray(data), (x, w), backward)
+    return _make(data, (x, w), backward)
 
 
 # ---------------------------------------------------------------- batch norm

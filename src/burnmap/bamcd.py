@@ -17,6 +17,7 @@ bit-identical traces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -358,6 +359,20 @@ def validation_f1(model: BamCdModel, x_pre, x_post, truth, batch_size: int) -> f
     return compute_metrics(counts).burnt.f1
 
 
+def _check_finite_state(model: BamCdModel, epoch: int):
+    """Raise DivergenceError naming the first parameter or batch-norm buffer
+    that holds a NaN or infinity. A non-finite input can poison the weights
+    and running statistics while the loss stays finite (the rectifier maps
+    NaN to 0), so the loss check alone does not catch it."""
+    params = ((name, p.data) for name, p in model.named_parameters())
+    for name, arr in itertools.chain(params, model.named_buffers()):
+        if not np.isfinite(arr).all():
+            raise DivergenceError(
+                f"non-finite values in {name} after an optimizer step in epoch {epoch}",
+                epoch=epoch,
+            )
+
+
 def train(
     model: BamCdModel,
     train_samples: list[BitemporalSample],
@@ -395,6 +410,7 @@ def train(
             model.zero_grad()
             loss.backward()
             optimizer.step()
+            _check_finite_state(model, epoch)
             batch_losses.append(float(loss.data))
         f1 = validation_f1(model, v_pre, v_post, v_truth, config.batch_size)
         trace.append(EpochStats(epoch, float(np.mean(batch_losses)), f1))

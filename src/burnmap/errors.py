@@ -31,7 +31,7 @@ class FitError(DataError):
 
 
 class DivergenceError(BurnmapError):
-    """Optimization produced a non-finite loss."""
+    """Optimization produced a non-finite loss, parameter or running statistic."""
 
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)

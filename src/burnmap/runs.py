@@ -341,7 +341,7 @@ def cmd_ml_run(
 DL_KEYS = {
     "manifest", "profile", "loss", "epochs", "batch_size", "learning_rate",
     "sharing", "skip_mode", "scse_combine", "reduction", "stem_width",
-    "widths", "blocks", "focal_alpha", "focal_gamma", "eval_patch",
+    "widths", "blocks", "focal_alpha", "focal_gamma",
 }
 
 

@@ -225,7 +225,9 @@ def compute_delta(kind: IndexKind, pre: RasterPatch, post: RasterPatch) -> Scala
         raise DataError(
             f"delta {kind.value}: pre {pre.data.shape} vs post {post.data.shape}"
         )
-    return _sanitize(_evaluate(kind, pre) - _evaluate(kind, post))
+    with np.errstate(invalid="ignore"):  # inf - inf at pixels singular in both epochs
+        out = _evaluate(kind, pre) - _evaluate(kind, post)
+    return _sanitize(out)
 
 
 def compute_rdnbr(pre: RasterPatch, post: RasterPatch) -> ScalarField:

@@ -147,6 +147,58 @@ class TestConvGradients:
         fd_check(lambda t, k: ad.conv2d(t, k, stride=1, padding=0), [x, w], rng)
 
 
+def conv2d_reference(x, w, seed, stride, padding):
+    """Direct nested-loop cross-correlation, plus the gradients of
+    sum(out * seed) with respect to the input and the kernel, in float64."""
+    x, w, seed = (np.asarray(a, dtype=np.float64) for a in (x, w, seed))
+    n, _, h, width = x.shape
+    f, _, kh, kw = w.shape
+    p = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho, wo = (h + 2 * p - kh) // stride + 1, (width + 2 * p - kw) // stride + 1
+    out = np.zeros((n, f, ho, wo))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for b in range(n):
+        for o in range(f):
+            for y in range(ho):
+                for z in range(wo):
+                    rows = slice(y * stride, y * stride + kh)
+                    cols = slice(z * stride, z * stride + kw)
+                    out[b, o, y, z] = (xp[b, :, rows, cols] * w[o]).sum()
+                    dw[o] += seed[b, o, y, z] * xp[b, :, rows, cols]
+                    dxp[b, :, rows, cols] += seed[b, o, y, z] * w[o]
+    return out, dxp[:, :, p : p + h, p : p + width], dw
+
+
+class TestConvReference:
+    """conv2d's output and both gradients against the nested-loop reference.
+
+    The tolerance is fixed from the dtype: the kernel sums the same products
+    as the reference in another order, so results agree to rounding only.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 4)])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_reference(self, k, stride, padding, hw, dtype):
+        rng = np.random.default_rng(100 * k + 10 * stride + padding + hw[0])
+        x = rng.standard_normal((2, 3, *hw)).astype(dtype)
+        w = rng.standard_normal((4, 3, k, k)).astype(dtype)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+        seed = rng.standard_normal(out.data.shape).astype(dtype)
+        out.backward(seed)
+
+        ref_out, ref_dx, ref_dw = conv2d_reference(x, w, seed, stride, padding)
+        tol = 1000 * np.finfo(dtype).eps
+        for got, want in ((out.data, ref_out), (xt.grad, ref_dx), (wt.grad, ref_dw)):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
 class TestNormalizationGradients:
     def test_batchnorm_training(self):
         rng = np.random.default_rng(40)

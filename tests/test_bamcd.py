@@ -443,6 +443,18 @@ class TestTraining:
             train(model, make_samples(4, 81), make_samples(2, 82))
         assert info.value.epoch == 0
 
+    def test_nan_input_pixel_raises_divergence(self):
+        """One NaN pixel poisons the stem conv and batch-norm state while the
+        loss stays finite; the state check after the step must catch it."""
+        samples = make_samples(4, 83)
+        samples[1].pre.data[2, 5, 7] = np.nan
+        config = replace(TINY, epochs=1)
+        with pytest.raises(
+            DivergenceError, match=r"encoder\.stem_conv\.weight .*epoch 0"
+        ) as info:
+            train(build(config), samples, make_samples(2, 84), config)
+        assert info.value.epoch == 0
+
     def test_empty_split_rejected(self):
         model = build(TINY)
         with pytest.raises(DataError, match="train split"):

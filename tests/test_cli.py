@@ -163,6 +163,17 @@ class TestExitCodes:
         assert err.startswith("burnmap synth: error:")
         assert "unknown config keys" in err
 
+    def test_dl_run_rejects_eval_patch(self, tmp_path, capsys):
+        """dl-run rejects eval_patch: a key that no code reads is an error, not ignored."""
+        cfg = write_config(
+            tmp_path / "n.cfg",
+            {"manifest": str(tmp_path / "manifest.csv"), "eval_patch": "32"},
+        )
+        rc = main(["dl-run", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys ['eval_patch']" in err
+
     def test_malformed_config_line_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n_train 4\n", encoding="utf-8")

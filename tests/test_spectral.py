@@ -17,6 +17,7 @@ from burnmap.spectral import (
     delta_field,
     required_bands,
 )
+from burnmap.synthetic import benchmark_config, generate_dataset
 
 from scalar_formulas import scalar_delta, scalar_index, scalar_rbr, scalar_rdnbr
 
@@ -181,6 +182,16 @@ class TestNanDiscipline:
         pre = patch_from({BandId.B8A: 0.4, BandId.B12: 0.0})
         post = patch_from({BandId.B8A: 0.4, BandId.B12: 0.2})
         assert np.isnan(compute_delta(IndexKind.CSI, pre, post).values[0, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_benchmark_data_raises_no_floating_point_warning(self):
+        """Singular pixels turn into NaN without a RuntimeWarning: every change
+        field over the standard benchmark dataset, warnings as errors."""
+        nan_pixels = 0
+        for s in generate_dataset(benchmark_config(noise=0.02), seed=1):
+            for kind in IndexKind:
+                nan_pixels += int(np.isnan(delta_field(kind, s.pre, s.post).values).sum())
+        assert nan_pixels > 0  # the singular pixels are really there
 
 
 class TestErrors:

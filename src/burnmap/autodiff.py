@@ -1,7 +1,11 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
 Exactly the operator set the change-detection network and its losses need,
-nothing more. Tensors record their parents and a backward closure; calling
+nothing more. The network downsamples with stride-2 convolutions, so there
+is no max pooling; the one pooling op is the global average that feeds
+channel squeeze-excitation.
+
+Tensors record their parents and a backward closure; calling
 ``backward()`` on a scalar (or with an explicit seed gradient) propagates
 flow gradients in reverse creation order and accumulates them into the
 ``grad`` of every tensor with ``requires_grad`` — so two backward passes
@@ -70,12 +74,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def backward(self, grad: np.ndarray | None = None):
         """Accumulate d(self)/d(leaf) into every requiring tensor's ``grad``.
@@ -495,33 +493,6 @@ def batchnorm(
 
 
 # ---------------------------------------------------------------- pooling
-
-
-def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties pick the first window position
-    in row-major order."""
-    x = _as_tensor(x)
-    if x.data.ndim != 4:
-        raise ShapeError(f"maxpool2x2: expected NCHW, got {x.data.shape}")
-    n, c, h, w = x.data.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2x2: spatial size {h}x{w} not divisible by 2")
-    ho, wo = h // 2, w // 2
-    windows = (
-        x.data.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
-    )
-    idx = windows.argmax(axis=-1)
-    data = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-
-    def backward(flow):
-        if not x.requires_grad:
-            return []
-        g = np.zeros((n, c, ho, wo, 4), dtype=flow.dtype)
-        np.put_along_axis(g, idx[..., None], flow[..., None], axis=-1)
-        g = g.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
-        return [(x, g)]
-
-    return _make(data, (x,), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

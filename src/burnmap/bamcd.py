@@ -30,6 +30,7 @@ from .errors import ConfigError, DataError, DivergenceError
 from .metrics import ConfusionCounts, accumulate, compute_metrics
 from .modelio import block_text, load_blocks, save_blocks, text_block
 from .rasters import ALL_BANDS, BandId, BitemporalSample, RasterPatch
+from .runconfig import get_float, get_int, get_int_tuple, get_str
 from .seeding import rng_for
 
 SHARING_MODES = ("siamese", "pseudo_siamese")
@@ -422,18 +423,6 @@ def train(
     return model, trace
 
 
-def train_from_manifest(model, manifest, config=None):
-    """Thin adapter: load the manifest's train/val splits and train."""
-    from .manifest import load_split
-
-    return train(
-        model,
-        load_split(manifest, "train"),
-        load_split(manifest, "val"),
-        config,
-    )
-
-
 def predict_scene(
     model: BamCdModel, pre: RasterPatch, post: RasterPatch, patch_size: int
 ) -> np.ndarray:
@@ -485,25 +474,46 @@ def predict_scene(
 # ---------------------------------------------------------------- persistence
 
 
+def _get_bands(config: dict[str, str], key: str) -> tuple[BandId, ...]:
+    try:
+        return tuple(BandId(b) for b in get_str(config, key).split(","))
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: unknown band in {config[key]!r}") from None
+
+
+def _get_stem_width(config: dict[str, str], key: str) -> int | None:
+    return get_int(config, key) if config[key] else None
+
+
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# Every BamCdConfig field in declaration order: (read from a key=value dict,
+# format as text). Checkpoint config text and dl-run overrides both use it.
+CONFIG_FIELDS = {
+    "widths": (get_int_tuple, _joined),
+    "blocks": (get_int_tuple, _joined),
+    "stem_width": (_get_stem_width, lambda v: "" if v is None else str(v)),
+    "bands": (_get_bands, lambda v: ",".join(b.value for b in v)),
+    "reduction": (get_int, str),
+    "sharing": (get_str, str),
+    "skip_mode": (get_str, str),
+    "scse_combine": (get_str, str),
+    "loss": (get_str, str),
+    "optimizer": (get_str, str),
+    "learning_rate": (get_float, repr),
+    "epochs": (get_int, str),
+    "batch_size": (get_int, str),
+    "seed": (get_int, str),
+    "focal_alpha": (get_float, repr),
+    "focal_gamma": (get_float, repr),
+}
+
+
 def config_to_text(config: BamCdConfig) -> str:
-    stem = "" if config.stem_width is None else str(config.stem_width)
-    return (
-        f"widths={','.join(str(w) for w in config.widths)}\n"
-        f"blocks={','.join(str(b) for b in config.blocks)}\n"
-        f"stem_width={stem}\n"
-        f"bands={','.join(b.value for b in config.bands)}\n"
-        f"reduction={config.reduction}\n"
-        f"sharing={config.sharing}\n"
-        f"skip_mode={config.skip_mode}\n"
-        f"scse_combine={config.scse_combine}\n"
-        f"loss={config.loss}\n"
-        f"optimizer={config.optimizer}\n"
-        f"learning_rate={config.learning_rate!r}\n"
-        f"epochs={config.epochs}\n"
-        f"batch_size={config.batch_size}\n"
-        f"seed={config.seed}\n"
-        f"focal_alpha={config.focal_alpha!r}\n"
-        f"focal_gamma={config.focal_gamma!r}\n"
+    return "".join(
+        f"{name}={fmt(getattr(config, name))}\n" for name, (_, fmt) in CONFIG_FIELDS.items()
     )
 
 
@@ -516,29 +526,10 @@ def config_from_text(text: str) -> BamCdConfig:
             raise ConfigError(f"malformed config line {line!r}")
         key, value = line.split("=", 1)
         fields[key.strip()] = value.strip()
-    try:
-        return BamCdConfig(
-            widths=tuple(int(w) for w in fields["widths"].split(",")),
-            blocks=tuple(int(b) for b in fields["blocks"].split(",")),
-            stem_width=int(fields["stem_width"]) if fields.get("stem_width") else None,
-            bands=tuple(BandId(b) for b in fields["bands"].split(",")),
-            reduction=int(fields["reduction"]),
-            sharing=fields["sharing"],
-            skip_mode=fields["skip_mode"],
-            scse_combine=fields["scse_combine"],
-            loss=fields["loss"],
-            optimizer=fields["optimizer"],
-            learning_rate=float(fields["learning_rate"]),
-            epochs=int(fields["epochs"]),
-            batch_size=int(fields["batch_size"]),
-            seed=int(fields["seed"]),
-            focal_alpha=float(fields["focal_alpha"]),
-            focal_gamma=float(fields["focal_gamma"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config text missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config text has a malformed value: {exc}") from exc
+    missing = [name for name in CONFIG_FIELDS if name not in fields]
+    if missing:
+        raise ConfigError(f"config text missing key {missing[0]!r}")
+    return BamCdConfig(**{name: get(fields, name) for name, (get, _) in CONFIG_FIELDS.items()})
 
 
 def save_bamcd(path: str | Path, model: BamCdModel):

@@ -24,12 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FitError
 from .rasters import ALL_BANDS, BandId, BitemporalSample, balance_negatives
 from .seeding import rng_for
-from .spectral import (
-    UNITEMPORAL,
-    IndexKind,
-    compute_index,
-    delta_field,
-)
+from .spectral import UNITEMPORAL, IndexKind, IndexPlanes
 
 log = logging.getLogger(__name__)
 
@@ -148,12 +143,10 @@ def derive_mi_schema(schema: FeatureSchema, importances: np.ndarray) -> FeatureS
     return FeatureSchema("MI", kept)
 
 
-@dataclass(frozen=True)
-class PixelPosition:
-    event_id: str
-    row: int
-    col: int
-    label: int
+# One sampled pixel: its patch (an index into the sampled list), place and label.
+POSITION = np.dtype(
+    [("sample", np.int64), ("row", np.int64), ("col", np.int64), ("label", np.uint8)]
+)
 
 
 def _allocate(total: int, parts: int) -> list[int]:
@@ -162,33 +155,42 @@ def _allocate(total: int, parts: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
-def _draw(rng: np.random.Generator, rows, cols, take: int) -> list[tuple[int, int]]:
+def _draw(rng: np.random.Generator, rows, cols, take: int) -> tuple[np.ndarray, np.ndarray]:
     if take <= 0 or rows.size == 0:
-        return []
+        return rows[:0], cols[:0]
     idx = rng.choice(rows.size, size=min(take, rows.size), replace=False)
     idx.sort()
-    return [(int(rows[i]), int(cols[i])) for i in idx]
+    return rows[idx], cols[idx]
+
+
+def _positions(sample: int, rows: np.ndarray, cols: np.ndarray, label: int) -> np.ndarray:
+    out = np.empty(rows.size, POSITION)
+    out["sample"], out["row"], out["col"], out["label"] = sample, rows, cols, label
+    return out
 
 
 def sample_pixels(
     samples: list[BitemporalSample], n_pixels: int, seed: int
-) -> list[PixelPosition]:
-    """Balanced pixel positions: N/2 burnt + N/2 unburnt with the water quota."""
+) -> np.ndarray:
+    """Balanced pixel positions (a ``POSITION`` array): N/2 burnt + N/2
+    unburnt with the water quota, in draw order."""
     if n_pixels <= 0 or n_pixels % 2:
         raise ConfigError(f"pixel budget must be positive and even, got {n_pixels}")
     positives = [s for s in samples if s.is_positive()]
     if not positives:
         raise FitError("sampling needs at least one patch with burnt pixels")
     pool = balance_negatives(samples, seed)
+    index_of = {id(s): i for i, s in enumerate(samples)}
 
     half = n_pixels // 2
     burnt_quota = _allocate(half, len(positives))
     unburnt_quota = _allocate(half, len(pool))
 
-    positions: list[PixelPosition] = []
+    chunks: list[np.ndarray] = []
     pos_index = 0
     for patch_i, s in enumerate(pool):
         rng = rng_for(seed, f"pixels/{s.event_id}")
+        sample_i = index_of[id(s)]
         burnt_mask = s.truth.labels.astype(bool)
         water_mask = (
             s.water.astype(bool) if s.water is not None
@@ -199,13 +201,13 @@ def sample_pixels(
             want = burnt_quota[pos_index]
             pos_index += 1
             rows, cols = np.nonzero(burnt_mask)
-            got = _draw(rng, rows, cols, want)
-            if len(got) < want:
+            got_rows, got_cols = _draw(rng, rows, cols, want)
+            if got_rows.size < want:
                 log.warning(
                     "patch %s: burnt stratum %d short of quota %d",
                     s.event_id, rows.size, want,
                 )
-            positions += [PixelPosition(s.event_id, r, c, 1) for r, c in got]
+            chunks.append(_positions(sample_i, got_rows, got_cols, 1))
 
         want_u = unburnt_quota[patch_i]
         unburnt_mask = ~burnt_mask
@@ -225,8 +227,8 @@ def sample_pixels(
 
         got_w = _draw(rng, w_rows, w_cols, take_w)
         got_l = _draw(rng, l_rows, l_cols, take_l)
-        positions += [PixelPosition(s.event_id, r, c, 0) for r, c in got_w + got_l]
-    return positions
+        chunks += [_positions(sample_i, *got_w, 0), _positions(sample_i, *got_l, 0)]
+    return np.concatenate(chunks)
 
 
 @dataclass
@@ -234,80 +236,69 @@ class FeatureDataset:
     schema: FeatureSchema
     x: np.ndarray  # (n, d) float32, NaN-free
     y: np.ndarray  # (n,) uint8
-    provenance: list[PixelPosition]
+    provenance: np.ndarray  # POSITION array, one entry per row of x
     nan_counts: dict[str, int]
 
 
-def _feature_plane(key: FeatureKey, sample: BitemporalSample) -> np.ndarray:
-    if key.band is not None:
-        patch = sample.pre if key.source == "pre" else sample.post
-        return patch.band(key.band)
-    if key.source == "delta":
-        return delta_field(key.index, sample.pre, sample.post).values
-    patch = sample.pre if key.source == "pre" else sample.post
-    return compute_index(key.index, patch).values
+def feature_cube(schema: FeatureSchema, sample: BitemporalSample) -> np.ndarray:
+    """The (d, H, W) float32 feature stack of one sample, NaN where a formula
+    is undefined; each raw index plane is evaluated once (``IndexPlanes``)."""
+    planes = IndexPlanes(sample.pre, sample.post)
+    cube = np.empty((len(schema), sample.height, sample.width), np.float32)
+    for i, key in enumerate(schema.entries):
+        if key.band is not None:
+            cube[i] = (sample.pre if key.source == "pre" else sample.post).band(key.band)
+        elif key.source == "delta":
+            cube[i] = planes.change(key.index).values
+        else:
+            cube[i] = planes.index(key.source, key.index).values
+    return cube
+
+
+def zero_nonfinite(x: np.ndarray) -> np.ndarray:
+    """Set the NaN/inf entries of an (n, d) feature matrix to 0 in place;
+    return how many were replaced in each column."""
+    bad = ~np.isfinite(x)
+    x[bad] = 0.0
+    return bad.sum(axis=0)
 
 
 def assemble_features(
     schema: FeatureSchema,
     samples: list[BitemporalSample],
-    positions: list[PixelPosition],
+    positions: np.ndarray,
 ) -> FeatureDataset:
     """Gather feature vectors at the given positions, pooling in sample order.
 
-    NaN feature values become 0; how many were replaced is reported per
-    feature in ``nan_counts``.
+    ``positions["sample"]`` indexes ``samples``. NaN feature values become 0;
+    how many were replaced is reported per feature in ``nan_counts``.
     """
     if len(schema) == 0:
         raise DataError(f"cannot assemble an empty {schema.variant} schema")
-    by_event: dict[str, list[PixelPosition]] = {}
-    for p in positions:
-        by_event.setdefault(p.event_id, []).append(p)
-    known = {s.event_id for s in samples}
-    missing = set(by_event) - known
-    if missing:
-        raise DataError(f"positions reference unknown patches: {sorted(missing)[:3]}")
+    unknown = (positions["sample"] < 0) | (positions["sample"] >= len(samples))
+    if unknown.any():
+        raise DataError(
+            f"positions reference unknown patches: {np.unique(positions['sample'][unknown])[:3]}"
+        )
+    if positions.size == 0:
+        raise DataError("no positions matched the given samples")
+    pooled = positions[np.argsort(positions["sample"], kind="stable")]
+    bounds = np.searchsorted(pooled["sample"], np.arange(len(samples) + 1))
 
-    blocks: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    provenance: list[PixelPosition] = []
-    nan_counts = {label: 0 for label in schema.labels()}
-    for s in samples:
-        here = by_event.get(s.event_id)
-        if not here:
+    x = np.empty((pooled.size, len(schema)), np.float32)
+    for i, s in enumerate(samples):
+        here = pooled[bounds[i] : bounds[i + 1]]
+        if not here.size:
             continue
-        rows = np.array([p.row for p in here])
-        cols = np.array([p.col for p in here])
+        rows, cols = here["row"], here["col"]
         if rows.max() >= s.height or cols.max() >= s.width:
             raise DataError(f"position outside patch {s.event_id}")
-        columns = []
-        for key in schema.entries:
-            plane = _feature_plane(key, s)
-            vals = plane[rows, cols].astype(np.float32)
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                nan_counts[key.label] += int(bad.sum())
-                vals = np.where(bad, np.float32(0.0), vals)
-            columns.append(vals)
-        blocks.append(np.stack(columns, axis=1))
-        labels.append(np.array([p.label for p in here], dtype=np.uint8))
-        provenance += here
-    if not blocks:
-        raise DataError("no positions matched the given samples")
+        x[bounds[i] : bounds[i + 1]] = feature_cube(schema, s)[:, rows, cols].T
+    counts = zero_nonfinite(x)
     return FeatureDataset(
         schema=schema,
-        x=np.concatenate(blocks, axis=0),
-        y=np.concatenate(labels),
-        provenance=provenance,
-        nan_counts=nan_counts,
+        x=x,
+        y=pooled["label"].copy(),
+        provenance=pooled,
+        nan_counts={label: int(n) for label, n in zip(schema.labels(), counts)},
     )
-
-
-def write_features(dataset: FeatureDataset, path: str | Path):
-    """Delimited text: schema header line, column names, then one row per pixel."""
-    lines = [f"# schema={dataset.schema.variant}"]
-    lines.append(",".join(dataset.schema.labels() + ["label"]))
-    for row, label in zip(dataset.x, dataset.y):
-        cells = [repr(float(v)) for v in row]
-        lines.append(",".join(cells + [str(int(label))]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -134,6 +134,7 @@ def _grow_tree(
         return node
 
     grow(np.arange(x.shape[0]), 0)
+    del grow  # the recursive closure holds itself; keep x from waiting for the cycle collector
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),

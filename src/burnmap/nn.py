@@ -229,7 +229,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None

@@ -56,6 +56,12 @@ class RasterPatch:
             raise DataError(
                 f"patch data shape {self.data.shape} does not match {len(self.bands)} bands"
             )
+        if not np.isfinite(self.data).all():
+            b, row, col = np.argwhere(~np.isfinite(self.data))[0]
+            raise DataError(
+                f"band {self.bands[b].value} has non-finite reflectance "
+                f"{self.data[b, row, col]} at (row {row}, col {col})"
+            )
 
     @property
     def height(self) -> int:

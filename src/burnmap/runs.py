@@ -27,12 +27,13 @@ from . import bamcd
 from .errors import ConfigError, DataError
 from .features import (
     FeatureSchema,
-    PixelPosition,
     all_schema,
     assemble_features,
     derive_mi_schema,
     dsi_schema,
+    feature_cube,
     sample_pixels,
+    zero_nonfinite,
 )
 from .forest import rf_fit, rf_predict, save_forest
 from .manifest import MANIFEST_NAME, load_split, read_manifest, save_dataset
@@ -242,22 +243,14 @@ def _resolve_schema(config: dict[str, str], bands) -> FeatureSchema:
     return derive_mi_schema(base, np.array(weights))
 
 
-def _full_patch_positions(sample) -> list[PixelPosition]:
-    h, w = sample.truth.labels.shape
-    labels = sample.truth.labels
-    return [
-        PixelPosition(sample.event_id, r, c, int(labels[r, c]))
-        for r in range(h)
-        for c in range(w)
-    ]
-
-
 def _evaluate_pixel_model(predict, schema, samples) -> MetricReport:
     """Pooled full-raster evaluation of a pixel classifier over samples."""
     counts = ConfusionCounts()
     for s in samples:
-        ds = assemble_features(schema, [s], _full_patch_positions(s))
-        probs = predict(ds.x)
+        # One row per pixel in row-major order, C-contiguous like a gathered x.
+        x = np.ascontiguousarray(feature_cube(schema, s).reshape(len(schema), -1).T)
+        zero_nonfinite(x)
+        probs = predict(x)
         mask = (probs >= 0.5).astype(np.uint8).reshape(s.truth.labels.shape)
         counts = counts + accumulate(mask, s.truth.labels)
     return compute_metrics(counts)
@@ -348,34 +341,10 @@ DL_KEYS = {
 def _network_config(config: dict[str, str], bands) -> bamcd.BamCdConfig:
     profile = get_choice(config, "profile", ("mini", "paperlike"), "mini")
     base = bamcd.mini_config() if profile == "mini" else bamcd.paperlike_config()
-    overrides: dict = {"bands": tuple(bands)}
-    if "widths" in config:
-        overrides["widths"] = get_int_tuple(config, "widths")
-    if "blocks" in config:
-        overrides["blocks"] = get_int_tuple(config, "blocks")
-    if "stem_width" in config:
-        overrides["stem_width"] = get_int(config, "stem_width")
-    if "loss" in config:
-        overrides["loss"] = get_str(config, "loss")
-    if "epochs" in config:
-        overrides["epochs"] = get_int(config, "epochs")
-    if "batch_size" in config:
-        overrides["batch_size"] = get_int(config, "batch_size")
-    if "learning_rate" in config:
-        overrides["learning_rate"] = get_float(config, "learning_rate")
-    if "sharing" in config:
-        overrides["sharing"] = get_str(config, "sharing")
-    if "skip_mode" in config:
-        overrides["skip_mode"] = get_str(config, "skip_mode")
-    if "scse_combine" in config:
-        overrides["scse_combine"] = get_str(config, "scse_combine")
-    if "reduction" in config:
-        overrides["reduction"] = get_int(config, "reduction")
-    if "focal_alpha" in config:
-        overrides["focal_alpha"] = get_float(config, "focal_alpha")
-    if "focal_gamma" in config:
-        overrides["focal_gamma"] = get_float(config, "focal_gamma")
-    return replace(base, **overrides)
+    overrides = {
+        key: get(config, key) for key, (get, _) in bamcd.CONFIG_FIELDS.items() if key in config
+    }
+    return replace(base, bands=tuple(bands), **overrides)
 
 
 def evaluate_network(model: bamcd.BamCdModel, samples) -> MetricReport:

@@ -194,6 +194,8 @@ def required_bands(kind: IndexKind) -> tuple[BandId, ...]:
 
 def _evaluate(kind: IndexKind, patch: RasterPatch) -> np.ndarray:
     """Raw float64 evaluation; may contain inf/NaN at singular pixels."""
+    if kind in BITEMPORAL:
+        raise ConfigError(f"{kind.value} needs a pre/post pair; use compute_{kind.value.lower()}")
     fn, roles = _FORMULAS[kind]
     planes = []
     for role in roles:
@@ -210,10 +212,50 @@ def _sanitize(values: np.ndarray) -> ScalarField:
     return ScalarField(out.astype(np.float32))
 
 
+class IndexPlanes:
+    """The index and change fields of one pre/post patch pair.
+
+    Every raw float64 (epoch, index) plane is evaluated at most once and
+    shared by all the fields built on it: dNBR, RdNBR, RBR and the pre/post
+    NBR features of one sample cost two NBR evaluations, not eight.
+    """
+
+    def __init__(self, pre: RasterPatch, post: RasterPatch):
+        if pre.data.shape != post.data.shape:
+            raise DataError(
+                f"delta fields need equal shapes: pre {pre.data.shape} vs post {post.data.shape}"
+            )
+        self._patches = {"pre": pre, "post": post}
+        self._raw: dict[tuple[str, IndexKind], np.ndarray] = {}
+
+    def _plane(self, epoch: str, kind: IndexKind) -> np.ndarray:
+        key = (epoch, kind)
+        if key not in self._raw:
+            self._raw[key] = _evaluate(kind, self._patches[epoch])
+        return self._raw[key]
+
+    def index(self, epoch: str, kind: IndexKind) -> ScalarField:
+        """One unitemporal index in one epoch, ``"pre"`` or ``"post"``."""
+        return _sanitize(self._plane(epoch, kind))
+
+    def change(self, kind: IndexKind) -> ScalarField:
+        """dSI = SI_pre - SI_post for a unitemporal index; RdNBR or RBR
+        (see ``compute_rdnbr``, ``compute_rbr``) from the NBR pair."""
+        source = IndexKind.NBR if kind in BITEMPORAL else kind
+        pre, post = self._plane("pre", source), self._plane("post", source)
+        # inf - inf at pixels singular in both epochs; RdNBR's zero denominator.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if kind is IndexKind.RDNBR:
+                out = (pre - post) / np.sqrt(np.abs(pre / 1000.0))
+            elif kind is IndexKind.RBR:
+                out = (pre - post) / (pre + 1.001)
+            else:
+                out = pre - post
+        return _sanitize(out)
+
+
 def compute_index(kind: IndexKind, patch: RasterPatch) -> ScalarField:
     """One unitemporal index on one patch."""
-    if kind in BITEMPORAL:
-        raise ConfigError(f"{kind.value} needs a pre/post pair; use compute_{kind.value.lower()}")
     return _sanitize(_evaluate(kind, patch))
 
 
@@ -221,13 +263,7 @@ def compute_delta(kind: IndexKind, pre: RasterPatch, post: RasterPatch) -> Scala
     """dSI = SI_pre - SI_post; NaN propagates from either epoch."""
     if kind in BITEMPORAL:
         raise ConfigError(f"{kind.value} is not a differenced index")
-    if pre.data.shape != post.data.shape:
-        raise DataError(
-            f"delta {kind.value}: pre {pre.data.shape} vs post {post.data.shape}"
-        )
-    with np.errstate(invalid="ignore"):  # inf - inf at pixels singular in both epochs
-        out = _evaluate(kind, pre) - _evaluate(kind, post)
-    return _sanitize(out)
+    return IndexPlanes(pre, post).change(kind)
 
 
 def compute_rdnbr(pre: RasterPatch, post: RasterPatch) -> ScalarField:
@@ -235,20 +271,12 @@ def compute_rdnbr(pre: RasterPatch, post: RasterPatch) -> ScalarField:
 
     NBRpre = 0 makes the denominator vanish -> NaN there.
     """
-    nbr_pre = _evaluate(IndexKind.NBR, pre)
-    nbr_post = _evaluate(IndexKind.NBR, post)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (nbr_pre - nbr_post) / np.sqrt(np.abs(nbr_pre / 1000.0))
-    return _sanitize(out)
+    return IndexPlanes(pre, post).change(IndexKind.RDNBR)
 
 
 def compute_rbr(pre: RasterPatch, post: RasterPatch) -> ScalarField:
     """Relativized Burn Ratio: (NBRpre - NBRpost)/(NBRpre + 1.001)."""
-    nbr_pre = _evaluate(IndexKind.NBR, pre)
-    nbr_post = _evaluate(IndexKind.NBR, post)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (nbr_pre - nbr_post) / (nbr_pre + 1.001)
-    return _sanitize(out)
+    return IndexPlanes(pre, post).change(IndexKind.RBR)
 
 
 def delta_field(kind: IndexKind, pre: RasterPatch, post: RasterPatch) -> ScalarField:
@@ -256,8 +284,4 @@ def delta_field(kind: IndexKind, pre: RasterPatch, post: RasterPatch) -> ScalarF
 
     Differenced form for unitemporal indices, the index itself for RdNBR/RBR.
     """
-    if kind is IndexKind.RDNBR:
-        return compute_rdnbr(pre, post)
-    if kind is IndexKind.RBR:
-        return compute_rbr(pre, post)
-    return compute_delta(kind, pre, post)
+    return IndexPlanes(pre, post).change(kind)

@@ -1,5 +1,6 @@
 """Tests for the bitemporal change-detection network."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from burnmap import autodiff as ad
 from burnmap import bamcd
 from burnmap.autodiff import Tensor, loss_bce
 from burnmap.bamcd import (
+    CONFIG_FIELDS,
     BamCdConfig,
     build,
     config_from_text,
@@ -181,12 +183,15 @@ class TestConfig:
             mini_config(loss="focal", focal_alpha=0.7, scse_combine="add", seed=9),
         ):
             assert config_from_text(config_to_text(cfg)) == cfg
+        assert list(CONFIG_FIELDS) == [f.name for f in dataclasses.fields(BamCdConfig)]
 
     def test_config_text_rejects_garbage(self):
         with pytest.raises(ConfigError, match="missing key"):
             config_from_text("widths=4,8\n")
         with pytest.raises(ConfigError, match="malformed"):
             config_from_text("no equals sign here")
+        with pytest.raises(ConfigError, match="'epochs'"):
+            config_from_text(config_to_text(mini_config()).replace("epochs=30", "epochs=x"))
 
 
 class TestParameterCount:

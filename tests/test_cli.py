@@ -16,7 +16,7 @@ from burnmap.errors import (
     FormatError,
 )
 from burnmap.manifest import save_dataset
-from burnmap.rasters import ALL_BANDS
+from burnmap.rasters import ALL_BANDS, BandId
 from burnmap.synthetic import SyntheticConfig, generate_dataset
 
 
@@ -209,6 +209,21 @@ class TestExitCodes:
         rc = main(["index-eval", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert rc == 3
         assert "B12" in capsys.readouterr().err
+
+    def test_nan_reflectance_in_scene_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        pre = rng.uniform(0.05, 0.9, (len(ALL_BANDS), 32, 32)).astype(np.float32)
+        post = pre.copy()
+        post[ALL_BANDS.index(BandId.B11), 20, 9] = np.nan
+        scene = tmp_path / "scene.npz"
+        np.savez(
+            scene, bands=np.array([b.value for b in ALL_BANDS]), pre=pre, post=post,
+            truth=np.zeros((32, 32), np.uint8),
+        )
+        cfg = write_config(tmp_path / "g.cfg", {"scene_train": str(scene), "patch_size": "16"})
+        rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 3
+        assert "band B11 has non-finite reflectance nan at (row 20, col 9)" in capsys.readouterr().err
 
     def test_divergent_training_exit_code(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from burnmap import spectral
 from burnmap.errors import ConfigError, DataError, FitError
 from burnmap.features import (
+    POSITION,
     FeatureKey,
     FeatureSchema,
-    PixelPosition,
     all_schema,
     assemble_features,
     derive_mi_schema,
     dsi_schema,
+    feature_cube,
     sample_pixels,
-    write_features,
 )
 from burnmap.rasters import ALL_BANDS, BandId, BitemporalSample, GroundTruthMask, RasterPatch
 from burnmap.spectral import UNITEMPORAL, IndexKind
@@ -29,12 +30,17 @@ def dataset(seed=0, water_prob=1.0, n=8, size=24, noise=0.02):
     return [s for s in generate_dataset(cfg, seed) if s.split == "train"]
 
 
-def single_pixel_sample(pre_vals, post_vals, label=1, event_id="one"):
+def single_pixel_sample(pre_vals, post_vals, label=1):
     pre = RasterPatch(ALL_BANDS, np.array([[[pre_vals[b]]] for b in ALL_BANDS], np.float32))
     post = RasterPatch(ALL_BANDS, np.array([[[post_vals[b]]] for b in ALL_BANDS], np.float32))
     return BitemporalSample(
-        pre, post, GroundTruthMask(np.array([[label]], np.uint8)), event_id=event_id
+        pre, post, GroundTruthMask(np.array([[label]], np.uint8)), event_id="one"
     )
+
+
+def at(sample, row, col, label):
+    """A one-pixel position array."""
+    return np.array([(sample, row, col, label)], POSITION)
 
 
 class TestSchemas:
@@ -104,44 +110,42 @@ class TestSampling:
         stocks = [s.truth.positive_pixels() for s in samples if s.is_positive()]
         n = 2 * len(stocks) * min(min(stocks), 50)
         positions = sample_pixels(samples, n_pixels=n, seed=7)
-        labels = np.array([p.label for p in positions])
+        labels = positions["label"]
         assert (labels == 1).sum() == n // 2
         assert (labels == 0).sum() == n // 2
 
     def test_labels_match_truth(self):
         samples = dataset(seed=2)
-        by_id = {s.event_id: s for s in samples}
         for p in sample_pixels(samples, 300, seed=3):
-            assert by_id[p.event_id].truth.labels[p.row, p.col] == p.label
+            assert samples[p["sample"]].truth.labels[p["row"], p["col"]] == p["label"]
 
     def test_no_duplicate_positions(self):
         samples = dataset(seed=3)
         positions = sample_pixels(samples, 500, seed=4)
-        keys = {(p.event_id, p.row, p.col) for p in positions}
+        keys = np.unique(positions[["sample", "row", "col"]])
         assert len(keys) == len(positions)
 
     def test_water_quota_met_per_patch(self):
         samples = dataset(seed=4, water_prob=1.0)
-        by_id = {s.event_id: s for s in samples}
         positions = sample_pixels(samples, 400, seed=5)
-        per_patch: dict[str, list] = {}
+        per_patch: dict[int, list] = {}
         for p in positions:
-            if p.label == 0:
-                per_patch.setdefault(p.event_id, []).append(p)
-        for event_id, chosen in per_patch.items():
-            s = by_id[event_id]
+            if p["label"] == 0:
+                per_patch.setdefault(p["sample"], []).append(p)
+        for sample_i, chosen in per_patch.items():
+            s = samples[sample_i]
             if s.water is None or not s.water.any():
                 continue
-            on_water = sum(s.water[p.row, p.col] for p in chosen)
+            on_water = sum(s.water[p["row"], p["col"]] for p in chosen)
             assert on_water / len(chosen) >= 0.10 - 1.0 / len(chosen)
 
     def test_deterministic(self):
         samples = dataset(seed=5)
         a = sample_pixels(samples, 200, seed=9)
         b = sample_pixels(samples, 200, seed=9)
-        assert a == b
+        assert np.array_equal(a, b)
         c = sample_pixels(samples, 200, seed=10)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_understocked_stratum_contributes_all(self):
         samples = dataset(seed=6, n=4, size=16, water_prob=0.0)
@@ -150,7 +154,7 @@ class TestSampling:
         if want % 2:
             want += 1
         positions = sample_pixels(samples, want, seed=11)
-        burnt = [p for p in positions if p.label == 1]
+        burnt = positions[positions["label"] == 1]
         assert len(burnt) == total_burnt  # every burnt pixel got used
 
     def test_odd_budget_rejected(self):
@@ -173,7 +177,7 @@ class TestAssembly:
         post_vals = {b: float(np.float32(rng.uniform(0.05, 0.9))) for b in ALL_BANDS}
         s = single_pixel_sample(pre_vals, post_vals)
         schema = all_schema()
-        ds = assemble_features(schema, [s], [PixelPosition("one", 0, 0, 1)])
+        ds = assemble_features(schema, [s], at(0, 0, 0, 1))
         assert ds.x.shape == (1, 61)
         vec = dict(zip(schema.labels(), ds.x[0]))
 
@@ -198,14 +202,14 @@ class TestAssembly:
     def test_dsi_identical_epochs_all_zero(self):
         vals = {b: 0.4 for b in ALL_BANDS}
         s = single_pixel_sample(vals, vals)
-        ds = assemble_features(dsi_schema(), [s], [PixelPosition("one", 0, 0, 0)])
+        ds = assemble_features(dsi_schema(), [s], at(0, 0, 0, 0))
         np.testing.assert_array_equal(ds.x, np.zeros((1, 15), np.float32))
 
     def test_nan_replaced_and_counted(self):
         post_vals = {b: 0.4 for b in ALL_BANDS}
         post_vals[BandId.B12] = 0.0  # post CSI = NIR/0 undefined -> dCSI NaN
         s = single_pixel_sample({b: 0.4 for b in ALL_BANDS}, post_vals)
-        ds = assemble_features(dsi_schema(), [s], [PixelPosition("one", 0, 0, 0)])
+        ds = assemble_features(dsi_schema(), [s], at(0, 0, 0, 0))
         col = dsi_schema().labels().index("d:CSI")
         assert ds.x[0, col] == 0.0
         assert ds.nan_counts["d:CSI"] == 1
@@ -215,30 +219,51 @@ class TestAssembly:
         samples = dataset(seed=9, n=4)
         positions = sample_pixels(samples, 40, seed=1)
         ds = assemble_features(dsi_schema(), samples, positions)
-        order = [s.event_id for s in samples]
-        seen = [p.event_id for p in ds.provenance]
-        assert seen == sorted(seen, key=order.index)
+        assert (np.diff(ds.provenance["sample"]) >= 0).all()
+        np.testing.assert_array_equal(ds.y, ds.provenance["label"])
         assert ds.x.shape == (len(positions), 15)
 
     def test_unknown_event_rejected(self):
         samples = dataset(seed=10, n=4)
         with pytest.raises(DataError, match="unknown"):
-            assemble_features(dsi_schema(), samples, [PixelPosition("ghost", 0, 0, 0)])
+            assemble_features(dsi_schema(), samples, at(len(samples), 0, 0, 0))
 
     def test_empty_schema_rejected(self):
         samples = dataset(seed=11, n=4)
         empty = derive_mi_schema(dsi_schema(), np.zeros(15))
         with pytest.raises(DataError, match="empty"):
-            assemble_features(empty, samples, [PixelPosition(samples[0].event_id, 0, 0, 0)])
+            assemble_features(empty, samples, at(0, 0, 0, 0))
 
-    def test_export_deterministic(self, tmp_path):
-        samples = dataset(seed=12, n=4)
-        positions = sample_pixels(samples, 30, seed=2)
-        ds = assemble_features(dsi_schema(), samples, positions)
-        write_features(ds, tmp_path / "a.csv")
-        write_features(ds, tmp_path / "b.csv")
-        a = (tmp_path / "a.csv").read_bytes()
-        assert a == (tmp_path / "b.csv").read_bytes()
-        header = a.decode().splitlines()
-        assert header[0] == "# schema=dSI"
-        assert header[1].endswith(",label")
+    def test_cube_matches_per_feature_fields(self):
+        """Each cube plane equals the band, compute_index or delta_field plane
+        it stands for, bit for bit and NaN for NaN."""
+        s = dataset(seed=13, n=2, noise=0.05)[0]
+        s.post.data[s.post.bands.index(BandId.B12), 0, 0] = 0.0  # post CSI = NIR/0
+        schema = all_schema()
+        cube = feature_cube(schema, s)
+        assert np.isnan(cube).any()
+        for plane, key in zip(cube, schema.entries):
+            patch = s.pre if key.source == "pre" else s.post
+            if key.band is not None:
+                expected = patch.band(key.band)
+            elif key.source == "delta":
+                expected = spectral.delta_field(key.index, s.pre, s.post).values
+            else:
+                expected = spectral.compute_index(key.index, patch).values
+            np.testing.assert_array_equal(plane, expected, err_msg=key.label)
+
+    @pytest.mark.parametrize("schema", [all_schema(), dsi_schema()], ids=["All", "dSI"])
+    def test_each_index_plane_evaluated_once_per_sample(self, schema, monkeypatch):
+        """13 unitemporal indices x 2 epochs: deltas, RdNBR and RBR reuse them."""
+        calls = []
+        evaluate = spectral._evaluate
+        monkeypatch.setattr(
+            spectral, "_evaluate", lambda kind, patch: calls.append(kind) or evaluate(kind, patch)
+        )
+        samples = dataset(seed=14, n=4)
+        feature_cube(schema, samples[0])
+        assert len(calls) == 26
+        calls.clear()
+        positions = sample_pixels(samples, 40, seed=3)
+        assemble_features(schema, samples, positions)
+        assert len(calls) == 26 * len(np.unique(positions["sample"]))

@@ -160,10 +160,6 @@ class TestAdam:
 
     def test_zero_grad_and_lr_validation(self):
         p = nn.Parameter(np.ones(2, dtype=np.float32))
-        opt = nn.Adam([p], lr=0.1)
-        p.grad = np.ones(2, dtype=np.float32)
-        opt.zero_grad()
-        assert p.grad is None
         with pytest.raises(ConfigError):
             nn.Adam([p], lr=0.0)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from burnmap.errors import FormatError
+from burnmap.errors import DataError, FormatError
 from burnmap.patchio import load_sample, read_sample, save_sample, write_sample
 from burnmap.rasters import BandId, BitemporalSample, GroundTruthMask, RasterPatch
 
@@ -109,4 +109,11 @@ class TestMalformedInput:
         split_at = 4 + 5 + 4 * 3 + 1
         blob[split_at] = 7
         with pytest.raises(FormatError, match="split code 7"):
+            read_sample(bytes(blob))
+
+    def test_non_finite_reflectance_names_band_and_pixel(self):
+        blob = bytearray(write_sample(make_sample(size=6, event_id="ev-train-000")))
+        at = header_size(3, "ev-train-000") + 4 * (6 * 6 + 2 * 6 + 5)  # pre B8A (2, 5)
+        blob[at : at + 4] = np.float32(np.inf).tobytes()
+        with pytest.raises(DataError, match=r"band B8A .* inf at \(row 2, col 5\)"):
             read_sample(bytes(blob))

@@ -3,7 +3,10 @@
 Exactly the operator set the change-detection network and its losses need,
 nothing more. The network downsamples with stride-2 convolutions, so there
 is no max pooling; the one pooling op is the global average that feeds
-channel squeeze-excitation.
+channel squeeze-excitation. The sigmoid and BCE formulas are also exposed
+as plain-array helpers (``sigmoid_forward``/``sigmoid_backward``,
+``bce_forward``/``bce_backward``), which the ops call and the graph-free
+pixel MLP shares.
 
 Tensors record their parents and a backward closure; calling
 ``backward()`` on a scalar (or with an explicit seed gradient) propagates
@@ -314,17 +317,27 @@ def relu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def sigmoid_forward(v: np.ndarray) -> np.ndarray:
+    """Logistic of a plain array, split by sign so that no exp overflows."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def sigmoid_backward(flow: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Flow through the logistic, given its output ``out``."""
+    return flow * out * (1.0 - out)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    v = x.data
-    data = np.empty_like(v)
-    pos = v >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    data[~pos] = ev / (1.0 + ev)
+    data = sigmoid_forward(x.data)
 
     def backward(flow):
-        return [(x, flow * data * (1.0 - data))] if x.requires_grad else []
+        return [(x, sigmoid_backward(flow, data))] if x.requires_grad else []
 
     return _make(data, (x,), backward)
 
@@ -565,23 +578,34 @@ def _label_array(y, like: np.ndarray) -> np.ndarray:
     return arr.astype(like.dtype)
 
 
+def bce_forward(yhat: np.ndarray, t: np.ndarray):
+    """Mean binary cross-entropy of plain arrays, predictions clamped away
+    from {0,1}. Returns the loss as a 0-d array of ``yhat``'s dtype, and the
+    clamped predictions and the unclamped mask that ``bce_backward`` needs."""
+    p = np.clip(yhat, LOG_EPS, 1.0 - LOG_EPS)
+    inside = (yhat > LOG_EPS) & (yhat < 1.0 - LOG_EPS)
+    total = -np.sum(
+        t * np.log(p) + (1.0 - t) * np.log1p(-p), dtype=np.float64
+    )
+    return np.asarray(total / p.size, dtype=yhat.dtype), p, inside
+
+
+def bce_backward(flow, t: np.ndarray, p: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Flow through the mean BCE to the predictions; zero where clamped."""
+    dp = (-t / p + (1.0 - t) / (1.0 - p)) / p.size
+    return flow * dp * inside
+
+
 def loss_bce(yhat: Tensor, y) -> Tensor:
     """Mean binary cross-entropy; predictions clamped away from {0,1}."""
     yhat = _as_tensor(yhat)
     t = _label_array(y, yhat.data)
-    p = np.clip(yhat.data, LOG_EPS, 1.0 - LOG_EPS)
-    inside = (yhat.data > LOG_EPS) & (yhat.data < 1.0 - LOG_EPS)
-    n = p.size
-    total = -np.sum(
-        t * np.log(p) + (1.0 - t) * np.log1p(-p), dtype=np.float64
-    )
-    data = np.asarray(total / n, dtype=yhat.data.dtype)
+    data, p, inside = bce_forward(yhat.data, t)
 
     def backward(flow):
         if not yhat.requires_grad:
             return []
-        dp = (-t / p + (1.0 - t) / (1.0 - p)) / n
-        return [(yhat, flow * dp * inside)]
+        return [(yhat, bce_backward(flow, t, p, inside))]
 
     return _make(data, (yhat,), backward)
 

@@ -366,12 +366,7 @@ def _check_finite_state(model: BamCdModel, epoch: int):
     and running statistics while the loss stays finite (the rectifier maps
     NaN to 0), so the loss check alone does not catch it."""
     params = ((name, p.data) for name, p in model.named_parameters())
-    for name, arr in itertools.chain(params, model.named_buffers()):
-        if not np.isfinite(arr).all():
-            raise DivergenceError(
-                f"non-finite values in {name} after an optimizer step in epoch {epoch}",
-                epoch=epoch,
-            )
+    nn.check_finite(itertools.chain(params, model.named_buffers()), epoch)
 
 
 def train(

@@ -2,8 +2,15 @@
 
 Rectifier hidden layers, logistic output, mean binary cross-entropy loss,
 mini-batch Adam. Widths default to [d, 128, 64, 1]. Training is single
-threaded and deterministic for a fixed seed; a non-finite loss aborts with
-the epoch named.
+threaded and deterministic for a fixed seed; a non-finite loss, or a
+non-finite parameter after an optimizer step, aborts with the epoch named.
+
+Training builds no autodiff graph. Forward and backward are plain numpy
+over the ``nn.Linear`` parameter arrays, written out for this one layer
+stack; they run the same numpy operations in the same order as the graph's
+closures (the sigmoid and BCE formulas are autodiff's own plain-array
+helpers), so weights and loss traces are bit for bit those of the graph.
+``nn.Adam`` then updates all parameters as one flat buffer.
 
 Inputs are standardized per feature (training-set mean and deviation,
 stored with the model): raw spectral features span several orders of
@@ -19,7 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import Tensor
 from .errors import ConfigError, DataError, DivergenceError, FitError
 from .modelio import block_text, load_blocks, save_blocks, text_block
 from .seeding import rng_for
@@ -27,6 +33,10 @@ from .seeding import rng_for
 HIDDEN_WIDTHS = (128, 64)
 LEARNING_RATE = 0.001
 BATCH_SIZE = 32
+
+
+def _relu(z: np.ndarray) -> np.ndarray:
+    return np.where(z > 0, z, 0)
 
 
 @dataclass
@@ -37,13 +47,31 @@ class MlpModel:
     scale: np.ndarray | None = None  # per-feature deviation; 1 where constant
     loss_trace: list[float] = field(default_factory=list)
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = x
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            h = layer.forward(h)
-            h = ad.sigmoid(h) if i == last else ad.relu(h)
-        return h
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Burnt probability, shape (n, 1), of each row of standardized x."""
+        for out in self._layer_inputs(x):  # not a list: one activation alive at a time
+            pass
+        return out
+
+    def _layer_inputs(self, x: np.ndarray):
+        """Yield the input of every layer in turn, then the probabilities."""
+        *hidden, head = self.layers
+        for layer in hidden:
+            yield x
+            x = _relu(x @ layer.weight.data + layer.bias.data)
+        yield x
+        yield ad.sigmoid_forward(x @ head.weight.data + head.bias.data)
+
+    def _backward(self, flow: np.ndarray, inputs: list[np.ndarray]):
+        """Set every parameter's grad from the flow into the head's logit,
+        walking the layers from last to first."""
+        for i in reversed(range(len(self.layers))):
+            layer = self.layers[i]
+            layer.bias.grad = flow.sum(axis=0)
+            layer.weight.grad = inputs[i].T @ flow
+            if i:
+                # a rectified input is positive exactly where its pre-activation was
+                flow = (flow @ layer.weight.data.T) * (inputs[i] > 0)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         if self.offset is None:
@@ -100,6 +128,7 @@ def mlp_fit(
     x = model.normalize(x)
     targets = y.astype(np.float32).reshape(-1, 1)
     optimizer = nn.Adam(model.layers.parameters(), lr=learning_rate)
+    named = list(model.layers.named_parameters())
     shuffle = rng_for(seed, "mlp/shuffle")
     n = x.shape[0]
     for epoch in range(epochs):
@@ -107,18 +136,24 @@ def mlp_fit(
         batch_losses = []
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
-            out = model.forward(Tensor(x[rows]))
-            loss = ad.loss_bce(out, targets[rows])
-            if not np.isfinite(loss.data):
-                raise DivergenceError(
-                    f"non-finite training loss in epoch {epoch}", epoch=epoch
-                )
-            model.layers.zero_grad()
-            loss.backward()
+            batch_losses.append(_batch_gradients(model, x[rows], targets[rows], epoch))
             optimizer.step()
-            batch_losses.append(float(loss.data))
+            # An overflowing step leaves the loss finite until the next batch.
+            nn.check_finite(((name, p.data) for name, p in named), epoch)
         model.loss_trace.append(float(np.mean(batch_losses)))
     return model
+
+
+def _batch_gradients(model: MlpModel, x: np.ndarray, t: np.ndarray, epoch: int) -> float:
+    """Mean BCE of one batch against targets t (shape (n, 1), model dtype).
+    Sets every parameter's grad, or raises DivergenceError naming the epoch
+    if the loss is not finite."""
+    *inputs, out = model._layer_inputs(x)
+    loss, p, inside = ad.bce_forward(out, t)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
+    model._backward(ad.sigmoid_backward(ad.bce_backward(1.0, t, p, inside), out), inputs)
+    return float(loss)
 
 
 def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray | float:
@@ -130,9 +165,7 @@ def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray | float:
         raise DataError(
             f"feature vector length {arr.shape[-1]} != model dimensionality {model.widths[0]}"
         )
-    with ad.no_grad():
-        out = model.forward(Tensor(model.normalize(arr)))
-    proba = out.data[:, 0].astype(np.float64)
+    proba = model.forward(model.normalize(arr))[:, 0].astype(np.float64)
     return float(proba[0]) if single else proba
 
 

@@ -15,6 +15,7 @@ trailing bytes are rejected.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -98,11 +99,14 @@ def unpack_blocks(blob: bytes) -> dict[str, np.ndarray]:
         if dtype is None:
             raise FormatError(f"block {name!r}: unknown dtype code {code}", offset=code_at)
         shape = struct.unpack(f"<{ndim}I", need(4 * ndim, f"block {name!r} shape"))
-        n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        n_items = math.prod(shape)  # exact: np.prod would wrap on corrupted extents
         payload = need(n_items * dtype.itemsize, f"block {name!r} payload")
         if name in blocks:
             raise FormatError(f"duplicate block name {name!r}", offset=name_at)
-        blocks[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        try:
+            blocks[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise FormatError(f"block {name!r}: {exc}", offset=code_at) from exc
     if pos != len(blob):
         raise FormatError(
             f"{len(blob) - pos} trailing bytes after the last block", offset=pos

@@ -1,4 +1,5 @@
-"""Parameter containers, standard layers, and the Adam optimizer.
+"""Parameter containers, standard layers, the Adam optimizer, and the
+finiteness check run after each optimizer step.
 
 Modules register parameters and submodules on attribute assignment, so
 ``named_parameters()`` walks the tree in declaration order — the order is
@@ -9,13 +10,14 @@ so identical seeds build identical networks.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 
 
 class Parameter(Tensor):
@@ -196,7 +198,20 @@ class Linear(Module):
 
 
 class Adam:
-    """Adaptive-moment gradient descent with bias correction."""
+    """Adaptive-moment gradient descent with bias correction (Kingma & Ba,
+    ICLR 2015).
+
+    The first and second moments of every parameter live in two flat
+    buffers, in parameter order. A step concatenates the gradients into one
+    flat array and runs each elementwise pass of the update once over it,
+    in place with one scratch array (neither outlives the step); only the
+    final subtraction touches each parameter. A
+    parameter whose ``grad`` is None is skipped, so each maximal run of
+    consecutive parameters that have a gradient is updated as one slice.
+    Every pass is elementwise, so the result is bit for bit that of
+    updating the parameters one at a time. All parameters must share one
+    dtype; gradients are stored in it.
+    """
 
     def __init__(
         self,
@@ -209,23 +224,59 @@ class Adam:
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        dtypes = sorted({str(p.data.dtype) for p in self.params})
+        if len(dtypes) > 1:
+            raise ConfigError(f"parameters of mixed dtypes {dtypes} in one optimizer")
+        self.lr, self.beta1, self.beta2, self.eps = map(float, (lr, beta1, beta2, eps))
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
+        size, dtype = self._offsets[-1], dtypes[0] if dtypes else np.float32
+        self._m = np.zeros(size, dtype)
+        self._v = np.zeros(size, dtype)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter {p.data.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        has_grad = [p.grad is not None for p in self.params]
+        for present, run in itertools.groupby(range(len(self.params)), has_grad.__getitem__):
+            if present:
+                run = list(run)
+                self._update(run[0], run[-1] + 1, bc1, bc2)
+
+    def _update(self, first: int, stop: int, bc1: float, bc2: float):
+        """One Adam update of parameters first..stop-1, which all have gradients."""
+        params, bounds = self.params[first:stop], self._offsets[first : stop + 1]
+        for p in params:
+            if p.grad.shape != p.data.shape:
+                raise ShapeError(f"gradient shape {p.grad.shape} != parameter {p.data.shape}")
+        m, v = self._m[bounds[0] : bounds[-1]], self._v[bounds[0] : bounds[-1]]
+        g = np.concatenate([p.grad.reshape(-1) for p in params], dtype=m.dtype)
+        tmp = np.empty_like(g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), into g
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bc1, out=g)
+        g *= self.lr
+        g /= tmp
+        for p, lo, hi in zip(params, bounds, bounds[1:]):
+            p.data = p.data - g[lo - bounds[0] : hi - bounds[0]].reshape(p.data.shape)
+
+
+def check_finite(named_arrays, epoch: int):
+    """Raise DivergenceError naming the first of the (name, array) pairs
+    that holds a NaN or infinity after an optimizer step in ``epoch``."""
+    for name, arr in named_arrays:
+        if not np.isfinite(arr).all():
+            raise DivergenceError(
+                f"non-finite values in {name} after an optimizer step in epoch {epoch}",
+                epoch=epoch,
+            )

@@ -10,7 +10,7 @@ from burnmap import autodiff as ad
 from burnmap.autodiff import Tensor
 from burnmap.errors import ConfigError, DataError, DivergenceError, FitError
 from burnmap.metrics import accumulate, compute_metrics
-from burnmap.mlp import build_mlp, load_mlp, mlp_fit, mlp_predict, save_mlp
+from burnmap.mlp import _batch_gradients, build_mlp, load_mlp, mlp_fit, mlp_predict, save_mlp
 
 
 def _sigmoid(v):
@@ -114,6 +114,21 @@ class TestTraining:
                 )
         assert err.value.epoch == 0
 
+    def test_poisoned_parameters_abort_after_the_step(self):
+        # lr=1e39 is infinite in float32: one full-batch step turns every
+        # weight infinite or NaN while that batch's loss was finite, and
+        # with one batch per epoch no later loss would notice.
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((64, 4)).astype(np.float32)
+        y = (rng.uniform(size=64) < 0.5).astype(np.uint8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"0\.weight .*epoch 0") as err:
+                mlp_fit(
+                    x, y, seed=1, widths=(4, 8, 1), epochs=1,
+                    batch_size=64, learning_rate=1e39,
+                )
+        assert err.value.epoch == 0
+
     def test_standardization_matches_training_moments(self):
         x, y = separable_clusters(seed=21, n=60)
         x = x.astype(np.float32)
@@ -154,6 +169,23 @@ class TestTraining:
             mlp_fit(x, np.array([0, 1, 0, 1], dtype=np.uint8), seed=23)
 
 
+def _graph_forward(model, x) -> Tensor:
+    """Reference: the model's own nn.Linear layers as an autodiff graph."""
+    h = Tensor(x)
+    for i, layer in enumerate(model.layers):
+        h = layer.forward(h)
+        h = ad.sigmoid(h) if i == len(model.layers) - 1 else ad.relu(h)
+    return h
+
+
+def _graph_gradients(model, x, t):
+    """Loss and every parameter's grad through the reference graph."""
+    model.layers.zero_grad()
+    loss = ad.loss_bce(_graph_forward(model, x), t)
+    loss.backward()
+    return float(loss.data), [p.grad for p in model.layers.parameters()]
+
+
 class TestGradients:
     def test_every_layer_matches_finite_differences(self):
         rng = np.random.default_rng(30)
@@ -166,21 +198,37 @@ class TestGradients:
         def scalar_loss(*arrs):
             for p, a in zip(params, arrs):
                 p.data = a.copy()
-            with ad.no_grad():
-                out = model.forward(Tensor(x))
-            return float(ad.loss_bce(out, y).data)
+            return float(ad.bce_forward(model.forward(x), y)[0])
 
         for p, a in zip(params, arrays):
             p.data = a.copy()
-        model.layers.zero_grad()
-        loss = ad.loss_bce(model.forward(Tensor(x)), y)
-        loss.backward()
+        _batch_gradients(model, x, y, epoch=0)
         analytic = [p.grad.copy() for p in params]
 
         for i in range(len(params)):
             numeric = numeric_grad(scalar_loss, arrays, i, h=1e-5)
             err = relative_error(analytic[i], numeric)
             assert err < 1e-4, f"parameter {i}: relative error {err:.3e}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_autodiff_graph(self, dtype):
+        # 37 rows in batches of 16 leave a ragged last batch of 5.
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((37, 3)).astype(dtype)
+        t = (rng.uniform(size=(37, 1)) < 0.5).astype(dtype)
+        model = build_mlp(3, widths=(3, 4, 2, 1), seed=37, dtype=dtype)
+        for start in range(0, 37, 16):
+            xb, tb = x[start : start + 16], t[start : start + 16]
+            ref_loss, ref_grads = _graph_gradients(model, xb, tb)
+            loss = _batch_gradients(model, xb, tb, epoch=0)
+            assert loss == ref_loss
+            for p, ref in zip(model.layers.parameters(), ref_grads):
+                assert p.grad.dtype == ref.dtype and np.array_equal(p.grad, ref)
+            # move the weights so each batch sees different parameters
+            for p in model.layers.parameters():
+                p.data = p.data - dtype(0.1) * p.grad
+        with ad.no_grad():
+            np.testing.assert_array_equal(model.forward(x), _graph_forward(model, x).data)
 
 
 class TestConfigValidation:

@@ -111,3 +111,55 @@ class TestRejection:
         blob = one[:4] + struct.pack("<HI", 1, 2) + record + record
         with pytest.raises(FormatError, match="duplicate"):
             unpack_blocks(blob)
+
+
+def _mlp_container() -> bytes:
+    """A three-block container as save_mlp writes it for an unfitted model."""
+    from burnmap.mlp import build_mlp
+
+    model = build_mlp(3, widths=(3, 1), seed=0)
+    blocks = {"__meta__": text_block("kind=mlp\nwidths=3,1\n")}
+    blocks.update((name, p.data) for name, p in model.layers.named_parameters())
+    return pack_blocks(blocks)
+
+
+class TestFuzz:
+    """Seeded damage over every byte of real containers: the reader must
+    answer with FormatError and an offset, or read a well-formed result."""
+
+    @pytest.mark.parametrize("make", [_mlp_container, lambda: pack_blocks(_sample_blocks())])
+    def test_truncation_at_every_offset(self, make):
+        blob = make()
+        for cut in range(len(blob)):
+            with pytest.raises(FormatError) as err:
+                unpack_blocks(blob[:cut])
+            assert err.value.offset is not None, cut
+
+    @pytest.mark.parametrize("make", [_mlp_container, lambda: pack_blocks(_sample_blocks())])
+    def test_single_byte_corruption_at_every_offset(self, make):
+        blob = make()
+        rng = np.random.default_rng(7)
+        for pos in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+            try:
+                unpack_blocks(bytes(damaged))
+            except FormatError as err:
+                assert err.offset is not None, pos
+
+    @pytest.mark.parametrize("extents", [(2**16,) * 4, (21, 1684957547, 1886154045)])
+    def test_extents_past_int64_are_truncation(self, extents):
+        # The item count of these extents is 2**64 (int64 arithmetic wraps it
+        # to 0) and about 6.7e19 (wraps negative); both must read as a payload
+        # far longer than the blob.
+        import struct
+
+        blob = (
+            pack_blocks({})[:4]
+            + struct.pack("<HIH", 1, 1, 1)
+            + b"w"
+            + struct.pack(f"<BB{len(extents)}I", 2, len(extents), *extents)
+        )
+        with pytest.raises(FormatError, match="truncated .* payload") as err:
+            unpack_blocks(blob)
+        assert err.value.offset == len(blob)

@@ -170,6 +170,49 @@ class TestAdam:
         opt.step()
         assert p.data.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_update_matches_per_parameter_formula(self, dtype):
+        # Mixed shapes, and the third parameter never has a gradient, so the
+        # flat buffer is updated as two separate runs every step.
+        rng = np.random.default_rng(12)
+        shapes = [(3, 4), (4,), (2, 2), (5,), (1, 3, 2)]
+        params = [nn.Parameter(rng.standard_normal(s).astype(dtype)) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = nn.Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 21):
+            grads = [None if i == 2 else rng.standard_normal(s).astype(dtype)
+                     for i, s in enumerate(shapes)]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for i, g in enumerate(grads):
+                if g is None:
+                    continue
+                m[i] *= b1
+                m[i] += (1.0 - b1) * g
+                v[i] *= b2
+                v[i] += (1.0 - b2) * (g * g)
+                ref[i] = ref[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            for p, r in zip(params, ref):
+                assert p.data.dtype == dtype and np.array_equal(p.data, r)
+
+    def test_mixed_dtypes_rejected(self):
+        p = nn.Parameter(np.ones(2, dtype=np.float32))
+        q = nn.Parameter(np.ones(2, dtype=np.float64))
+        with pytest.raises(ConfigError, match="mixed dtypes"):
+            nn.Adam([p, q])
+
+    def test_gradient_shape_mismatch(self):
+        p = nn.Parameter(np.ones((2, 3), dtype=np.float32))
+        opt = nn.Adam([p])
+        p.grad = np.ones(6, dtype=np.float32)
+        with pytest.raises(ad.ShapeError, match="gradient shape"):
+            opt.step()
+
     def test_training_reduces_loss_on_toy_problem(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((64, 4)).astype(np.float32)

@@ -117,3 +117,33 @@ class TestMalformedInput:
         blob[at : at + 4] = np.float32(np.inf).tobytes()
         with pytest.raises(DataError, match=r"band B8A .* inf at \(row 2, col 5\)"):
             read_sample(bytes(blob))
+
+
+class TestFuzz:
+    """Seeded damage over every byte of a sample with a water mask."""
+
+    EVENT = "ev-train-000"
+
+    def test_truncation_at_every_offset(self):
+        blob = write_sample(make_sample(event_id=self.EVENT))
+        for cut in range(len(blob)):
+            with pytest.raises(FormatError) as err:
+                read_sample(blob[:cut])
+            assert err.value.offset is not None, cut
+
+    def test_single_byte_corruption_at_every_offset(self):
+        # Damage to the header must surface as FormatError (or leave a valid
+        # header, e.g. another known band or split); damage to reflectance or
+        # mask values may also be DataError (a NaN pixel, a label 7).
+        blob = write_sample(make_sample(event_id=self.EVENT))
+        payload_at = header_size(3, self.EVENT)
+        rng = np.random.default_rng(11)
+        for pos in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+            try:
+                read_sample(bytes(damaged))
+            except FormatError as err:
+                assert err.offset is not None, pos
+            except DataError:
+                assert pos >= payload_at, pos

@@ -125,16 +125,6 @@ class Tensor:
                     else:
                         flows[pid] = contrib
 
-    # Sugar used by the layer code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))

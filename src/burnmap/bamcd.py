@@ -27,8 +27,8 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, DivergenceError
-from .metrics import ConfusionCounts, accumulate, compute_metrics
-from .modelio import block_text, load_blocks, save_blocks, text_block
+from .metrics import MetricReport, accumulate, compute_metrics
+from .modelio import block_text, load_model, save_model, text_block
 from .rasters import ALL_BANDS, BandId, BitemporalSample, RasterPatch
 from .runconfig import get_float, get_int, get_int_tuple, get_str
 from .seeding import rng_for
@@ -289,7 +289,9 @@ def _check_patch(patch: RasterPatch, config: BamCdConfig, name: str):
         )
 
 
-def _stack(samples: list[BitemporalSample], config: BamCdConfig):
+def stack_samples(samples: list[BitemporalSample], config: BamCdConfig):
+    """NCHW pre and post reflectance and (N, 1, H, W) truth arrays of samples
+    that all carry the configured bands and one patch shape."""
     x_pre = np.empty((len(samples), len(config.bands), *samples[0].pre.data.shape[1:]), np.float32)
     x_post = np.empty_like(x_pre)
     truth = np.empty((len(samples), 1, *x_pre.shape[2:]), np.float32)
@@ -350,14 +352,16 @@ def _forward_probs(model: BamCdModel, x_pre, x_post, batch_size: int) -> np.ndar
     return out
 
 
-def validation_f1(model: BamCdModel, x_pre, x_post, truth, batch_size: int) -> float:
+def stack_metrics(model: BamCdModel, x_pre, x_post, truth, batch_size: int) -> MetricReport:
+    """Pooled metrics of the thresholded probability maps of a sample stack
+    (see ``stack_samples``), run in eval mode in batches of ``batch_size``."""
     model.eval()
     probs = _forward_probs(model, x_pre, x_post, batch_size)
-    prediction = (probs >= PROBABILITY_THRESHOLD).astype(np.uint8)
-    counts = ConfusionCounts(0, 0, 0, 0)
-    for i in range(prediction.shape[0]):
-        counts = counts + accumulate(prediction[i], truth[i, 0].astype(np.uint8))
-    return compute_metrics(counts).burnt.f1
+    return compute_metrics(accumulate(probs >= PROBABILITY_THRESHOLD, truth[:, 0]))
+
+
+def validation_f1(model: BamCdModel, x_pre, x_post, truth, batch_size: int) -> float:
+    return stack_metrics(model, x_pre, x_post, truth, batch_size).burnt.f1
 
 
 def _check_finite_state(model: BamCdModel, epoch: int):
@@ -382,8 +386,8 @@ def train(
         raise DataError("training requires a non-empty train split")
     if not val_samples:
         raise DataError("training requires a non-empty val split")
-    x_pre, x_post, truth = _stack(train_samples, config)
-    v_pre, v_post, v_truth = _stack(val_samples, config)
+    x_pre, x_post, truth = stack_samples(train_samples, config)
+    v_pre, v_post, v_truth = stack_samples(val_samples, config)
     loss_fn = _loss_fn(config)
     optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
     shuffle = rng_for(config.seed, "train/shuffle")
@@ -439,31 +443,20 @@ def predict_scene(
         )
     rows = -(-height // patch_size)
     cols = -(-width // patch_size)
-    pad_h = rows * patch_size - height
-    pad_w = cols * patch_size - width
-    pre_arr = np.pad(pre.data, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
-    post_arr = np.pad(post.data, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
+    pad = ((0, 0), (0, rows * patch_size - height), (0, cols * patch_size - width))
 
-    tiles_pre = np.empty((rows * cols, pre.data.shape[0], patch_size, patch_size), np.float32)
-    tiles_post = np.empty_like(tiles_pre)
-    k = 0
-    for r in range(rows):
-        for c in range(cols):
-            sl = (slice(None), slice(r * patch_size, (r + 1) * patch_size),
-                  slice(c * patch_size, (c + 1) * patch_size))
-            tiles_pre[k] = pre_arr[sl]
-            tiles_post[k] = post_arr[sl]
-            k += 1
+    def tiles(patch: RasterPatch) -> np.ndarray:
+        """(rows * cols, C, P, P) tiles of the edge-padded scene, row-major."""
+        grid = np.pad(patch.data, pad, mode="edge").reshape(
+            -1, rows, patch_size, cols, patch_size
+        )
+        return grid.transpose(1, 3, 0, 2, 4).reshape(-1, grid.shape[0], patch_size, patch_size)
+
     model.eval()
-    probs = _forward_probs(model, tiles_pre, tiles_post, model.config.batch_size)
+    probs = _forward_probs(model, tiles(pre), tiles(post), model.config.batch_size)
     binary = (probs >= PROBABILITY_THRESHOLD).astype(np.uint8)
-    out = np.empty((rows * patch_size, cols * patch_size), np.uint8)
-    k = 0
-    for r in range(rows):
-        for c in range(cols):
-            out[r * patch_size : (r + 1) * patch_size, c * patch_size : (c + 1) * patch_size] = binary[k]
-            k += 1
-    return out[:height, :width]
+    out = binary.reshape(rows, cols, patch_size, patch_size).transpose(0, 2, 1, 3)
+    return out.reshape(rows * patch_size, cols * patch_size)[:height, :width]
 
 
 # ---------------------------------------------------------------- persistence
@@ -528,25 +521,18 @@ def config_from_text(text: str) -> BamCdConfig:
 
 
 def save_bamcd(path: str | Path, model: BamCdModel):
-    blocks: dict[str, np.ndarray] = {
-        "__meta__": text_block("kind=bamcd\n"),
-        "__config__": text_block(config_to_text(model.config)),
-    }
+    blocks = {"__config__": text_block(config_to_text(model.config))}
     for name, value in model.state_dict().items():
         blocks["param/" + name] = value
-    save_blocks(path, blocks)
+    save_model(path, "bamcd", {}, blocks)
+
+
+def _bamcd_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> BamCdModel:
+    model = build(config_from_text(block_text(blocks["__config__"])))
+    names = itertools.chain(model.named_parameters(), model.named_buffers())
+    model.load_state_dict({name: blocks["param/" + name] for name, _ in names})
+    return model
 
 
 def load_bamcd(path: str | Path) -> BamCdModel:
-    blocks = load_blocks(path)
-    meta = dict(
-        line.split("=", 1) for line in block_text(blocks["__meta__"]).splitlines() if line
-    )
-    if meta.get("kind") != "bamcd":
-        raise DataError(f"container holds {meta.get('kind')!r}, not a bamcd checkpoint")
-    model = build(config_from_text(block_text(blocks["__config__"])))
-    state = {
-        name[len("param/") :]: arr for name, arr in blocks.items() if name.startswith("param/")
-    }
-    model.load_state_dict(state)
-    return model
+    return load_model(path, "bamcd", {}, _bamcd_from_blocks)

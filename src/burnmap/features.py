@@ -249,9 +249,9 @@ def feature_cube(schema: FeatureSchema, sample: BitemporalSample) -> np.ndarray:
         if key.band is not None:
             cube[i] = (sample.pre if key.source == "pre" else sample.post).band(key.band)
         elif key.source == "delta":
-            cube[i] = planes.change(key.index).values
+            cube[i] = planes.change(key.index)
         else:
-            cube[i] = planes.index(key.source, key.index).values
+            cube[i] = planes.index(key.source, key.index)
     return cube
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FitError
-from .modelio import block_text, load_blocks, save_blocks, text_block
+from .modelio import load_model, meta_int, save_model
 from .seeding import rng_for
 
 N_TREES = 100
@@ -208,14 +208,13 @@ def rf_predict(model: RandomForestModel, x: np.ndarray) -> np.ndarray | float:
 
 
 def save_forest(path: str | Path, model: RandomForestModel):
-    blocks: dict[str, np.ndarray] = {
-        "__meta__": text_block(
-            f"kind=random_forest\nn_trees={len(model.trees)}\n"
-            f"n_features={model.n_features}\nmax_depth={model.max_depth}\n"
-            f"min_leaf={model.min_leaf}\n"
-        ),
-        "importances": model.feature_importances,
+    meta = {
+        "n_trees": len(model.trees),
+        "n_features": model.n_features,
+        "max_depth": model.max_depth,
+        "min_leaf": model.min_leaf,
     }
+    blocks: dict[str, np.ndarray] = {"importances": model.feature_importances}
     for t, tree in enumerate(model.trees):
         prefix = f"tree/{t:04d}/"
         blocks[prefix + "feature"] = tree.feature
@@ -223,17 +222,10 @@ def save_forest(path: str | Path, model: RandomForestModel):
         blocks[prefix + "left"] = tree.left
         blocks[prefix + "right"] = tree.right
         blocks[prefix + "value"] = tree.value
-    save_blocks(path, blocks)
+    save_model(path, "random_forest", meta, blocks)
 
 
-def load_forest(path: str | Path) -> RandomForestModel:
-    blocks = load_blocks(path)
-    meta = dict(
-        line.split("=", 1) for line in block_text(blocks["__meta__"]).splitlines() if line
-    )
-    if meta.get("kind") != "random_forest":
-        raise DataError(f"container holds {meta.get('kind')!r}, not a random forest")
-    n_trees = int(meta["n_trees"])
+def _forest_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> RandomForestModel:
     trees = tuple(
         DecisionTree(
             feature=blocks[f"tree/{t:04d}/feature"],
@@ -242,12 +234,17 @@ def load_forest(path: str | Path) -> RandomForestModel:
             right=blocks[f"tree/{t:04d}/right"],
             value=blocks[f"tree/{t:04d}/value"],
         )
-        for t in range(n_trees)
+        for t in range(meta["n_trees"])
     )
     return RandomForestModel(
         trees=trees,
-        n_features=int(meta["n_features"]),
-        max_depth=int(meta["max_depth"]),
-        min_leaf=int(meta["min_leaf"]),
+        n_features=meta["n_features"],
+        max_depth=meta["max_depth"],
+        min_leaf=meta["min_leaf"],
         feature_importances=blocks["importances"],
     )
+
+
+def load_forest(path: str | Path) -> RandomForestModel:
+    fields = dict.fromkeys(("n_trees", "n_features", "max_depth", "min_leaf"), meta_int)
+    return load_model(path, "random_forest", fields, _forest_from_blocks)

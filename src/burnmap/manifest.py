@@ -43,9 +43,6 @@ class DatasetManifest:
             raise DataError(f"unknown split {split!r}")
         return [e for e in self.entries if e.split == split]
 
-    def split_sizes(self) -> dict[str, int]:
-        return {s: len(self.by_split(s)) for s in SPLITS}
-
 
 def _entry_filename(event_id: str) -> str:
     safe = event_id.replace("/", "_").replace("\\", "_")

@@ -7,7 +7,7 @@ listed in the report's ``flags`` so the convention is never silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,16 +119,6 @@ def compute_metrics(counts: ConfusionCounts) -> MetricReport:
     )
 
 
-def evaluate_masks(
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[ConfusionCounts, MetricReport]:
-    """Pool (prediction, truth) pairs into one confusion table, then score it."""
-    counts = ConfusionCounts()
-    for prediction, truth in pairs:
-        counts = counts + accumulate(prediction, truth)
-    return counts, compute_metrics(counts)
-
-
 def align_table(header: list[str], rows: list[list[str]]) -> str:
     """Monospace table: first column left-aligned, the rest right-aligned."""
     for i, row in enumerate(rows):
@@ -151,14 +141,6 @@ def align_table(header: list[str], rows: list[list[str]]) -> str:
 def metric_names() -> list[str]:
     """Column order shared by every emitted report."""
     return [name for name, _ in compute_metrics(ConfusionCounts(1, 0, 0, 1)).as_row()]
-
-
-def report_csv(named: list[tuple[str, MetricReport]]) -> str:
-    """One delimited line per report, full float precision."""
-    lines = [",".join(["method"] + metric_names())]
-    for label, report in named:
-        lines.append(",".join([label] + [repr(v) for _, v in report.as_row()]))
-    return "\n".join(lines) + "\n"
 
 
 def report_table(named: list[tuple[str, MetricReport]]) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .errors import ConfigError, DataError, DivergenceError, FitError
-from .modelio import block_text, load_blocks, save_blocks, text_block
+from .modelio import load_model, meta_ints, save_model
 from .seeding import rng_for
 
 HIDDEN_WIDTHS = (128, 64)
@@ -170,27 +170,17 @@ def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray | float:
 
 
 def save_mlp(path: str | Path, model: MlpModel):
-    blocks: dict[str, np.ndarray] = {
-        "__meta__": text_block(
-            "kind=mlp\nwidths=" + ",".join(str(w) for w in model.widths) + "\n"
-        ),
-    }
+    blocks: dict[str, np.ndarray] = {}
     if model.offset is not None:
         blocks["norm/offset"] = model.offset
         blocks["norm/scale"] = model.scale
     for name, p in model.layers.named_parameters():
         blocks[name] = p.data
-    save_blocks(path, blocks)
+    save_model(path, "mlp", {"widths": model.widths}, blocks)
 
 
-def load_mlp(path: str | Path) -> MlpModel:
-    blocks = load_blocks(path)
-    meta = dict(
-        line.split("=", 1) for line in block_text(blocks["__meta__"]).splitlines() if line
-    )
-    if meta.get("kind") != "mlp":
-        raise DataError(f"container holds {meta.get('kind')!r}, not an mlp")
-    widths = tuple(int(w) for w in meta["widths"].split(","))
+def _mlp_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> MlpModel:
+    widths = meta["widths"]
     model = build_mlp(widths[0], widths=widths, seed=0)
     if "norm/offset" in blocks:
         model.offset = blocks["norm/offset"]
@@ -198,3 +188,7 @@ def load_mlp(path: str | Path) -> MlpModel:
     state = {name: blocks[name] for name, _ in model.layers.named_parameters()}
     model.layers.load_state_dict(state)
     return model
+
+
+def load_mlp(path: str | Path) -> MlpModel:
+    return load_model(path, "mlp", {"widths": meta_ints}, _mlp_from_blocks)

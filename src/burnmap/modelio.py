@@ -8,20 +8,29 @@ all little-endian:
     per block: u16 name length | name UTF-8 | u8 dtype code | u8 ndim
                | u32 extents... | raw array payload
 
-Free-form metadata travels as UTF-8 bytes in a uint8 block (see text_block /
+Free-form text travels as UTF-8 bytes in a uint8 block (see text_block /
 block_text). Malformed input raises FormatError carrying the byte offset;
 trailing bytes are rejected.
+
+A model file is a container whose first block, ``__meta__``, is text:
+``kind=<kind>\n``, then one ``key=value\n`` line per metadata field, each
+value a non-negative integer or comma-separated ones. ``save_model`` and
+``load_model`` are the only code that writes or parses it. Loading a damaged
+model file raises FormatError; a well-formed model file of another kind
+raises DataError.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, DataError, FormatError
 
 MAGIC = b"NPB1"
 VERSION = 1
@@ -42,7 +51,10 @@ def text_block(text: str) -> np.ndarray:
 
 
 def block_text(block: np.ndarray) -> str:
-    return bytes(np.asarray(block, dtype=np.uint8)).decode("utf-8")
+    try:
+        return bytes(np.asarray(block, dtype=np.uint8)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"text block is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def pack_blocks(blocks: dict[str, np.ndarray]) -> bytes:
@@ -120,3 +132,96 @@ def save_blocks(path: str | Path, blocks: dict[str, np.ndarray]):
 
 def load_blocks(path: str | Path) -> dict[str, np.ndarray]:
     return unpack_blocks(Path(path).read_bytes())
+
+
+# ---------------------------------------------------------------- model files
+
+Model = TypeVar("Model")
+_UINT = re.compile(r"[0-9]+")
+
+
+def meta_int(text: str) -> int:
+    """Meta value reader: a non-negative decimal integer."""
+    if not _UINT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+def meta_ints(text: str) -> tuple[int, ...]:
+    """Meta value reader: comma-separated non-negative decimal integers."""
+    return tuple(meta_int(part) for part in text.split(","))
+
+
+def _meta_value(value: int | tuple[int, ...]) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def save_model(
+    path: str | Path,
+    kind: str,
+    meta: dict[str, int | tuple[int, ...]],
+    blocks: dict[str, np.ndarray],
+):
+    """Write a model file: the ``__meta__`` block, then ``blocks`` in order."""
+    text = f"kind={kind}\n" + "".join(f"{key}={_meta_value(v)}\n" for key, v in meta.items())
+    save_blocks(path, {"__meta__": text_block(text), **blocks})
+
+
+class _ModelBlocks(dict):
+    """The blocks of one model file. Looking up a missing name raises
+    FormatError, and every name looked up is removed from ``unread``."""
+
+    def __init__(self, path: str | Path, blocks: dict[str, np.ndarray]):
+        super().__init__(blocks)
+        self.path = path
+        self.unread = set(blocks)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        self.unread.discard(name)
+        return super().__getitem__(name)
+
+    def __missing__(self, name: str):
+        raise FormatError(f"{self.path}: no block {name!r}")
+
+
+def load_model(
+    path: str | Path,
+    kind: str,
+    fields: dict[str, Callable[[str], object]],
+    build: Callable[[dict[str, object], dict[str, np.ndarray]], Model],
+) -> Model:
+    """Read a model file of ``kind`` and return ``build(meta, blocks)``.
+
+    ``meta`` maps each key of ``fields`` to its value as parsed by the
+    field's reader (``meta_int``, ``meta_ints``). Raises DataError when the
+    file holds another kind, and FormatError when it is damaged: a missing
+    block, a meta text that is not UTF-8, a meta line without ``=``, a
+    missing key or an unparsable value, a ConfigError raised by ``build``
+    (stored config text or arrays that do not fit the model they describe),
+    or a block that ``build`` never looks up.
+    """
+    blocks = _ModelBlocks(path, load_blocks(path))
+    raw: dict[str, str] = {}
+    for line in block_text(blocks["__meta__"]).splitlines():
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(f"{path}: meta line {line!r} is not key=value")
+        raw[key] = value
+    if raw.get("kind", kind) != kind:  # another kind need not have this kind's keys
+        raise DataError(f"{path} holds a {raw['kind']!r} model, not {kind!r}")
+    for key in ("kind", *fields):
+        if key not in raw:
+            raise FormatError(f"{path}: meta has no {key!r}")
+    meta = {}
+    for key, read in fields.items():
+        try:
+            meta[key] = read(raw[key])
+        except ValueError:
+            raise FormatError(f"{path}: meta {key}={raw[key]!r} is unparsable") from None
+    try:
+        model = build(meta, blocks)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if blocks.unread:
+        raise FormatError(f"{path}: unexpected blocks {sorted(blocks.unread)}")
+    return model

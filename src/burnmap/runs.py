@@ -349,12 +349,8 @@ def _network_config(config: dict[str, str], bands) -> bamcd.BamCdConfig:
 
 def evaluate_network(model: bamcd.BamCdModel, samples) -> MetricReport:
     """Pooled test-pixel metrics of thresholded probability maps."""
-    counts = ConfusionCounts()
-    for s in samples:
-        probs = bamcd.forward(model, s.pre, s.post)
-        mask = (probs >= bamcd.PROBABILITY_THRESHOLD).astype(np.uint8)
-        counts = counts + accumulate(mask, s.truth.labels)
-    return compute_metrics(counts)
+    x_pre, x_post, truth = bamcd.stack_samples(samples, model.config)
+    return bamcd.stack_metrics(model, x_pre, x_post, truth, model.config.batch_size)
 
 
 def cmd_dl_run(

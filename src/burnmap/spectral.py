@@ -21,7 +21,6 @@ README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,26 +70,6 @@ ROLE_BANDS: dict[str, BandId] = {
     "swir1": BandId.B11,
     "swir2": BandId.B12,
 }
-
-
-@dataclass
-class ScalarField:
-    """One float32 value per pixel; NaN where the source formula is undefined."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 2:
-            raise DataError(f"scalar field must be 2-D, got shape {self.values.shape}")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def _savi(nir, red):
@@ -178,24 +157,10 @@ _FORMULAS = {
 }
 
 
-def required_bands(kind: IndexKind) -> tuple[BandId, ...]:
-    """Distinct bands a formula needs, in first-use order."""
-    if kind in BITEMPORAL:
-        roles = _FORMULAS[IndexKind.NBR][1]
-    else:
-        roles = _FORMULAS[kind][1]
-    seen: list[BandId] = []
-    for role in roles:
-        band = ROLE_BANDS[role]
-        if band not in seen:
-            seen.append(band)
-    return tuple(seen)
-
-
 def _evaluate(kind: IndexKind, patch: RasterPatch) -> np.ndarray:
     """Raw float64 evaluation; may contain inf/NaN at singular pixels."""
     if kind in BITEMPORAL:
-        raise ConfigError(f"{kind.value} needs a pre/post pair; use compute_{kind.value.lower()}")
+        raise ConfigError(f"{kind.value} needs a pre/post pair; use delta_field")
     fn, roles = _FORMULAS[kind]
     planes = []
     for role in roles:
@@ -207,9 +172,9 @@ def _evaluate(kind: IndexKind, patch: RasterPatch) -> np.ndarray:
         return fn(*planes)
 
 
-def _sanitize(values: np.ndarray) -> ScalarField:
-    out = np.where(np.isfinite(values), values, np.nan)
-    return ScalarField(out.astype(np.float32))
+def _sanitize(values: np.ndarray) -> np.ndarray:
+    """float32 copy of a 2-D raw plane, NaN wherever it is not finite."""
+    return np.where(np.isfinite(values), values, np.nan).astype(np.float32)
 
 
 class IndexPlanes:
@@ -234,13 +199,15 @@ class IndexPlanes:
             self._raw[key] = _evaluate(kind, self._patches[epoch])
         return self._raw[key]
 
-    def index(self, epoch: str, kind: IndexKind) -> ScalarField:
+    def index(self, epoch: str, kind: IndexKind) -> np.ndarray:
         """One unitemporal index in one epoch, ``"pre"`` or ``"post"``."""
         return _sanitize(self._plane(epoch, kind))
 
-    def change(self, kind: IndexKind) -> ScalarField:
-        """dSI = SI_pre - SI_post for a unitemporal index; RdNBR or RBR
-        (see ``compute_rdnbr``, ``compute_rbr``) from the NBR pair."""
+    def change(self, kind: IndexKind) -> np.ndarray:
+        """dSI = SI_pre - SI_post for a unitemporal index; NaN propagates
+        from either epoch. From the NBR pair: RdNBR =
+        (NBRpre - NBRpost) / sqrt(|NBRpre / 1000|), NaN where NBRpre = 0,
+        and RBR = (NBRpre - NBRpost) / (NBRpre + 1.001)."""
         source = IndexKind.NBR if kind in BITEMPORAL else kind
         pre, post = self._plane("pre", source), self._plane("post", source)
         # inf - inf at pixels singular in both epochs; RdNBR's zero denominator.
@@ -254,32 +221,12 @@ class IndexPlanes:
         return _sanitize(out)
 
 
-def compute_index(kind: IndexKind, patch: RasterPatch) -> ScalarField:
+def compute_index(kind: IndexKind, patch: RasterPatch) -> np.ndarray:
     """One unitemporal index on one patch."""
     return _sanitize(_evaluate(kind, patch))
 
 
-def compute_delta(kind: IndexKind, pre: RasterPatch, post: RasterPatch) -> ScalarField:
-    """dSI = SI_pre - SI_post; NaN propagates from either epoch."""
-    if kind in BITEMPORAL:
-        raise ConfigError(f"{kind.value} is not a differenced index")
-    return IndexPlanes(pre, post).change(kind)
-
-
-def compute_rdnbr(pre: RasterPatch, post: RasterPatch) -> ScalarField:
-    """Relative differenced NBR: (NBRpre - NBRpost)/sqrt(|NBRpre/1000|).
-
-    NBRpre = 0 makes the denominator vanish -> NaN there.
-    """
-    return IndexPlanes(pre, post).change(IndexKind.RDNBR)
-
-
-def compute_rbr(pre: RasterPatch, post: RasterPatch) -> ScalarField:
-    """Relativized Burn Ratio: (NBRpre - NBRpost)/(NBRpre + 1.001)."""
-    return IndexPlanes(pre, post).change(IndexKind.RBR)
-
-
-def delta_field(kind: IndexKind, pre: RasterPatch, post: RasterPatch) -> ScalarField:
+def delta_field(kind: IndexKind, pre: RasterPatch, post: RasterPatch) -> np.ndarray:
     """The bitemporal change field for any index kind.
 
     Differenced form for unitemporal indices, the index itself for RdNBR/RBR.

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError, FitError
 from .metrics import ConfusionCounts, MetricReport, accumulate, compute_metrics
 from .rasters import BitemporalSample
-from .spectral import IndexKind, ScalarField, delta_field
+from .spectral import IndexKind, delta_field
 
 GRID_STEPS = 256
 _PERCENTILES = (1.0, 99.0)
@@ -81,10 +81,10 @@ class ThresholdModel:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-def binarize(field: ScalarField, threshold: float) -> np.ndarray:
+def binarize(field: np.ndarray, threshold: float) -> np.ndarray:
     """1 where value >= threshold, else 0; NaN compares unburnt."""
     with np.errstate(invalid="ignore"):
-        return (field.values >= threshold).astype(np.uint8)
+        return (field >= threshold).astype(np.uint8)
 
 
 def candidate_grid(values: np.ndarray, steps: int = GRID_STEPS) -> np.ndarray:
@@ -105,7 +105,7 @@ def _pool_deltas(
     values = []
     labels = []
     for s in samples:
-        values.append(delta_field(kind, s.pre, s.post).values.ravel())
+        values.append(delta_field(kind, s.pre, s.post).ravel())
         labels.append(s.truth.labels.ravel())
     return np.concatenate(values), np.concatenate(labels)
 

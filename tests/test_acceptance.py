@@ -42,8 +42,7 @@ from burnmap.spectral import (
     IndexKind,
     UNITEMPORAL,
     compute_index,
-    compute_rbr,
-    compute_rdnbr,
+    delta_field,
 )
 from burnmap.synthetic import (
     SyntheticConfig,
@@ -100,18 +99,15 @@ def test_criterion_01_index_formula_oracles(announce):
     checked = 0
     single = patch()
     for kind in UNITEMPORAL:
-        field = compute_index(kind, single).values[0]
+        field = compute_index(kind, single)[0]
         expected = np.array([scalar_index(kind.value, pixel(single, c)) for c in range(n)])
         np.testing.assert_allclose(field, expected, rtol=1e-6, err_msg=kind.value)
         checked += 1
     pre, post = patch(), patch()
-    for compute, scalar, name in (
-        (compute_rdnbr, scalar_rdnbr, "RDNBR"),
-        (compute_rbr, scalar_rbr, "RBR"),
-    ):
-        field = compute(pre, post).values[0]
+    for kind, scalar in ((IndexKind.RDNBR, scalar_rdnbr), (IndexKind.RBR, scalar_rbr)):
+        field = delta_field(kind, pre, post)[0]
         expected = np.array([scalar(pixel(pre, c), pixel(post, c)) for c in range(n)])
-        np.testing.assert_allclose(field, expected, rtol=1e-6, err_msg=name)
+        np.testing.assert_allclose(field, expected, rtol=1e-6, err_msg=kind.value)
         checked += 1
     assert checked == 15
     elapsed = time.perf_counter() - t0

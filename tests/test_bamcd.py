@@ -24,6 +24,7 @@ from burnmap.bamcd import (
     trace_to_text,
 )
 from burnmap.errors import ConfigError, DataError, DivergenceError
+from burnmap.metrics import ConfusionCounts, accumulate, compute_metrics
 from burnmap.rasters import ALL_BANDS, BitemporalSample, GroundTruthMask, RasterPatch
 from burnmap.seeding import rng_for
 
@@ -495,20 +496,20 @@ class TestPredictScene:
         model.head.weight.data *= 20.0
         model.head.bias.data[:] = -1.0
         rng = np.random.default_rng(17)
-        shape = (10, 19, 21)
+        shape = (10, 19, 29)  # a 3x4 tile grid: rows and columns differ
         pre = RasterPatch(ALL_BANDS, rng.uniform(0.05, 0.5, shape).astype(np.float32))
         post = RasterPatch(ALL_BANDS, rng.uniform(0.05, 0.5, shape).astype(np.float32))
         patch = 8
         got = predict_scene(model, pre, post, patch_size=patch)
-        assert got.shape == (19, 21)
+        assert got.shape == (19, 29)
         assert got.dtype == np.uint8
 
-        pre_pad = np.pad(pre.data, ((0, 0), (0, 24 - 19), (0, 24 - 21)), mode="edge")
-        post_pad = np.pad(post.data, ((0, 0), (0, 24 - 19), (0, 24 - 21)), mode="edge")
-        expected = np.empty((24, 24), np.uint8)
+        pre_pad = np.pad(pre.data, ((0, 0), (0, 24 - 19), (0, 32 - 29)), mode="edge")
+        post_pad = np.pad(post.data, ((0, 0), (0, 24 - 19), (0, 32 - 29)), mode="edge")
+        expected = np.empty((24, 32), np.uint8)
         margin = 1.0
         for r in range(3):
-            for c in range(3):
+            for c in range(4):
                 sl = (slice(None), slice(r * patch, (r + 1) * patch),
                       slice(c * patch, (c + 1) * patch))
                 probs = forward(
@@ -519,7 +520,7 @@ class TestPredictScene:
                 margin = min(margin, float(np.abs(probs - 0.5).min()))
                 expected[sl[1], sl[2]] = (probs >= 0.5).astype(np.uint8)
         assert margin > 1e-4  # guard: comparison below is ulp-safe
-        assert np.array_equal(got, expected[:19, :21])
+        assert np.array_equal(got, expected[:19, :29])
 
     def test_scene_smaller_than_patch_rejected(self):
         model = build(TINY)
@@ -532,6 +533,28 @@ class TestPredictScene:
         s = make_samples(1, 94, side=64)[0]
         with pytest.raises(DataError, match="not divisible"):
             predict_scene(model, s.pre, s.post, patch_size=12)
+
+
+class TestScoring:
+    def test_stack_metrics_match_per_patch_forward(self):
+        """Batched pooled scoring (validation and the test split) equals
+        thresholding one bamcd.forward map per patch and adding the counts."""
+        model = build(TINY)
+        # spread the logits as in the stitching test, so that batching may
+        # differ from the per-patch reference only far from the threshold
+        model.head.weight.data *= 20.0
+        model.head.bias.data[:] = -1.0
+        samples = make_samples(6, 98)  # batches of 4 and 2
+        counts, margin = ConfusionCounts(), 1.0
+        for s in samples:
+            probs = forward(model, s.pre, s.post)
+            margin = min(margin, float(np.abs(probs - 0.5).min()))
+            counts = counts + accumulate(probs >= 0.5, s.truth.labels)
+        assert margin > 1e-4
+        assert 0 < counts.tp and 0 < counts.tn  # both classes predicted
+        x_pre, x_post, truth = bamcd.stack_samples(samples, TINY)
+        report = bamcd.stack_metrics(model, x_pre, x_post, truth, TINY.batch_size)
+        assert report == compute_metrics(counts)
 
 
 class TestSerialization:
@@ -554,5 +577,5 @@ class TestSerialization:
 
         path = tmp_path / "other.npb"
         save_blocks(path, {"__meta__": text_block("kind=mlp\n")})
-        with pytest.raises(DataError, match="not a bamcd"):
+        with pytest.raises(DataError, match="'mlp' model, not 'bamcd'"):
             bamcd.load_bamcd(path)

@@ -247,9 +247,9 @@ class TestAssembly:
             if key.band is not None:
                 expected = patch.band(key.band)
             elif key.source == "delta":
-                expected = spectral.delta_field(key.index, s.pre, s.post).values
+                expected = spectral.delta_field(key.index, s.pre, s.post)
             else:
-                expected = spectral.compute_index(key.index, patch).values
+                expected = spectral.compute_index(key.index, patch)
             np.testing.assert_array_equal(plane, expected, err_msg=key.label)
 
     @pytest.mark.parametrize("schema", [all_schema(), dsi_schema()], ids=["All", "dSI"])

@@ -253,5 +253,5 @@ class TestSerialization:
 
         path = tmp_path / "other.npb"
         save_blocks(path, {"__meta__": text_block("kind=mlp\n")})
-        with pytest.raises(DataError, match="random forest"):
+        with pytest.raises(DataError, match="'mlp' model, not 'random_forest'"):
             load_forest(path)

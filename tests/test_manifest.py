@@ -28,7 +28,7 @@ class TestRoundTrip:
         save_dataset(dataset, tmp_path, clip_max=1.0)
         m = read_manifest(tmp_path / MANIFEST_NAME)
         assert m.patch_size == 16 and m.clip_max == 1.0
-        assert m.split_sizes() == {"train": 3, "val": 1, "test": 1}
+        assert [len(m.by_split(s)) for s in ("train", "val", "test")] == [3, 1, 1]
         train = load_split(m, "train")
         assert [s.event_id for s in train] == [s.event_id for s in dataset[:3]]
         np.testing.assert_array_equal(train[0].pre.data, dataset[0].pre.data)

@@ -8,7 +8,6 @@ from burnmap.metrics import (
     ConfusionCounts,
     accumulate,
     compute_metrics,
-    evaluate_masks,
 )
 
 
@@ -115,15 +114,17 @@ class TestComputeMetrics:
         assert len(names) == 10
 
 
-class TestEvaluateMasks:
-    def test_pooling_matches_manual_merge(self):
+class TestPooling:
+    def test_stacked_masks_match_summed_counts(self):
+        """One accumulate over a stack of masks pools them exactly as adding
+        each mask's counts does."""
         rng = np.random.default_rng(3)
         pairs = [
             (rng.integers(0, 2, (4, 4)), rng.integers(0, 2, (4, 4))) for _ in range(3)
         ]
-        counts, report = evaluate_masks(pairs)
+        counts = accumulate(np.stack([p for p, _ in pairs]), np.stack([t for _, t in pairs]))
         manual = ConfusionCounts()
         for p, t in pairs:
             manual = manual + accumulate(p, t)
         assert counts == manual
-        assert report == compute_metrics(manual)
+        assert compute_metrics(counts) == compute_metrics(manual)

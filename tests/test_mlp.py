@@ -262,5 +262,5 @@ class TestSerialization:
 
         path = tmp_path / "other.npb"
         save_blocks(path, {"__meta__": text_block("kind=random_forest\n")})
-        with pytest.raises(DataError, match="not an mlp"):
+        with pytest.raises(DataError, match="'random_forest' model, not 'mlp'"):
             load_mlp(path)

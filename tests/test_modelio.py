@@ -1,14 +1,21 @@
-"""Round-trip and corruption tests for the named-parameter-block container."""
+"""Round-trip and corruption tests for the named-parameter-block container
+and the model files built on it."""
 
 import numpy as np
 import pytest
+from cluster_data import separable_clusters
 
-from burnmap.errors import FormatError
+from burnmap import bamcd, forest, mlp
+from burnmap.errors import ConfigError, DataError, FormatError
 from burnmap.modelio import (
     block_text,
     load_blocks,
+    load_model,
+    meta_int,
+    meta_ints,
     pack_blocks,
     save_blocks,
+    save_model,
     text_block,
     unpack_blocks,
 )
@@ -113,6 +120,69 @@ class TestRejection:
             unpack_blocks(blob)
 
 
+class TestModelFile:
+    FIELDS = {"n": meta_int, "widths": meta_ints}
+
+    def _save(self, path, meta="n=3\nwidths=4,3,1\n", **blocks):
+        save_blocks(path, {"__meta__": text_block("kind=demo\n" + meta), **blocks})
+
+    def test_layout_and_typed_round_trip(self, tmp_path):
+        path = tmp_path / "m.npb"
+        w = np.arange(3, dtype=np.float32)
+        save_model(path, "demo", {"n": 3, "widths": (4, 3, 1)}, {"w": w})
+        blocks = load_blocks(path)
+        assert list(blocks) == ["__meta__", "w"]
+        assert block_text(blocks["__meta__"]) == "kind=demo\nn=3\nwidths=4,3,1\n"
+        meta, back = load_model(path, "demo", self.FIELDS, lambda m, b: (m, b["w"]))
+        assert meta == {"n": 3, "widths": (4, 3, 1)}
+        np.testing.assert_array_equal(back, w)
+
+    def test_wrong_kind_is_data_error(self, tmp_path):
+        self._save(tmp_path / "m.npb")
+        with pytest.raises(DataError, match="'demo' model, not 'mlp'") as err:
+            load_model(tmp_path / "m.npb", "mlp", {}, lambda m, b: None)
+        assert not isinstance(err.value, FormatError)
+
+    @pytest.mark.parametrize(
+        "meta, match",
+        [
+            ("n=3\n", "no 'widths'"),
+            ("n=3\nwidths\n", "not key=value"),
+            ("n=+3\nwidths=4\n", "n='\\+3' is unparsable"),
+            ("n= 3\nwidths=4\n", "unparsable"),
+            ("n=3\nwidths=4,,1\n", "unparsable"),
+        ],
+    )
+    def test_damaged_meta_is_format_error(self, tmp_path, meta, match):
+        self._save(tmp_path / "m.npb", meta)
+        with pytest.raises(FormatError, match=match):
+            load_model(tmp_path / "m.npb", "demo", self.FIELDS, lambda m, b: None)
+
+    def test_missing_kind_is_format_error(self, tmp_path):
+        save_blocks(tmp_path / "m.npb", {"__meta__": text_block("n=3\n")})
+        with pytest.raises(FormatError, match="no 'kind'"):
+            load_model(tmp_path / "m.npb", "demo", {}, lambda m, b: None)
+
+    def test_non_utf8_meta_is_format_error(self, tmp_path):
+        save_blocks(tmp_path / "m.npb", {"__meta__": np.frombuffer(b"kind=\xff", np.uint8)})
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_model(tmp_path / "m.npb", "demo", {}, lambda m, b: None)
+
+    def test_missing_unread_and_misfit_blocks_are_format_errors(self, tmp_path):
+        path = tmp_path / "m.npb"
+        self._save(path, w=np.zeros(2, np.float32))
+        with pytest.raises(FormatError, match="no block 'v'"):
+            load_model(path, "demo", self.FIELDS, lambda m, b: b["v"])
+        with pytest.raises(FormatError, match=r"unexpected blocks \['w'\]"):
+            load_model(path, "demo", self.FIELDS, lambda m, b: None)
+
+        def misfit(meta, blocks):
+            raise ConfigError("parameter w: shape (2,) != (3,)")
+
+        with pytest.raises(FormatError, match="shape"):
+            load_model(path, "demo", self.FIELDS, misfit)
+
+
 def _mlp_container() -> bytes:
     """A three-block container as save_mlp writes it for an unfitted model."""
     from burnmap.mlp import build_mlp
@@ -123,9 +193,29 @@ def _mlp_container() -> bytes:
     return pack_blocks(blocks)
 
 
+def _forest_file(path):
+    x, y = separable_clusters(seed=5, n=40)
+    forest.save_forest(path, forest.rf_fit(x, y, seed=6, n_trees=2, max_depth=3))
+    return forest.load_forest
+
+
+def _mlp_file(path):
+    x, y = separable_clusters(seed=7, n=40)
+    x = np.hstack([x, -x])
+    mlp.save_mlp(path, mlp.mlp_fit(x, y, seed=8, widths=(4, 3, 1), epochs=1))
+    return mlp.load_mlp
+
+
+def _bamcd_file(path):
+    bamcd.save_bamcd(path, bamcd.build(bamcd.mini_config(widths=(2, 2), blocks=(1, 1))))
+    return bamcd.load_bamcd
+
+
 class TestFuzz:
     """Seeded damage over every byte of real containers: the reader must
-    answer with FormatError and an offset, or read a well-formed result."""
+    answer with FormatError and an offset, or read a well-formed result. A
+    model file read through its family's loader may also answer DataError,
+    and nothing else."""
 
     @pytest.mark.parametrize("make", [_mlp_container, lambda: pack_blocks(_sample_blocks())])
     def test_truncation_at_every_offset(self, make):
@@ -163,3 +253,33 @@ class TestFuzz:
         with pytest.raises(FormatError, match="truncated .* payload") as err:
             unpack_blocks(blob)
         assert err.value.offset == len(blob)
+
+    @pytest.mark.parametrize("save", [_forest_file, _mlp_file, _bamcd_file])
+    def test_model_file_truncation_at_every_offset(self, save, tmp_path):
+        path = tmp_path / "model.npb"
+        load = save(path)
+        blob = path.read_bytes()
+        load(path)  # the undamaged file loads
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                load(path)
+
+    @pytest.mark.parametrize("save", [_forest_file, _mlp_file, _bamcd_file])
+    def test_model_file_corruption_at_every_offset(self, save, tmp_path):
+        path = tmp_path / "model.npb"
+        load = save(path)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(11)
+        escaped = []
+        for pos in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+            path.write_bytes(bytes(damaged))
+            try:
+                load(path)
+            except DataError:  # FormatError included
+                pass
+            except Exception as exc:  # collected, so one run names every escape
+                escaped.append((pos, repr(exc)))
+        assert escaped == []

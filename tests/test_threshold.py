@@ -5,7 +5,7 @@ import pytest
 
 from burnmap.errors import DataError, FitError
 from burnmap.metrics import accumulate, compute_metrics
-from burnmap.spectral import IndexKind, ScalarField, delta_field
+from burnmap.spectral import IndexKind, delta_field
 from burnmap.synthetic import SyntheticConfig, generate_dataset
 from burnmap.threshold import (
     GRID_STEPS,
@@ -22,7 +22,7 @@ def brute_force_fit(kind, samples, steps=GRID_STEPS):
     """Independent oracle: score binarize() at every grid point via the public
     metrics path and take the first argmax."""
     pooled = np.concatenate(
-        [delta_field(kind, s.pre, s.post).values.ravel() for s in samples]
+        [delta_field(kind, s.pre, s.post).ravel() for s in samples]
     )
     grid = candidate_grid(pooled, steps)
     best_t, best_f1 = None, -1.0
@@ -51,20 +51,20 @@ def train_samples(seed, noise=0.02, n=6, size=24):
 
 class TestBinarize:
     def test_boundary_inclusive(self):
-        field = ScalarField(np.array([[-1.0, 0.0, 1.0]], np.float32))
+        field = np.array([[-1.0, 0.0, 1.0]], np.float32)
         np.testing.assert_array_equal(binarize(field, 0.0), [[0, 1, 1]])
 
     def test_all_ones_below_range(self):
-        field = ScalarField(np.array([[0.2, 0.5]], np.float32))
+        field = np.array([[0.2, 0.5]], np.float32)
         np.testing.assert_array_equal(binarize(field, -1.0), [[1, 1]])
 
     def test_nan_maps_to_unburnt(self):
-        field = ScalarField(np.array([[np.nan, 5.0]], np.float32))
+        field = np.array([[np.nan, 5.0]], np.float32)
         np.testing.assert_array_equal(binarize(field, 0.0), [[0, 1]])
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
-        field = ScalarField(rng.normal(size=(16, 16)).astype(np.float32))
+        field = rng.normal(size=(16, 16)).astype(np.float32)
         counts = [binarize(field, t).sum() for t in np.linspace(-3, 3, 40)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 

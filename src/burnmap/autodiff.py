@@ -8,11 +8,10 @@ as plain-array helpers (``sigmoid_forward``/``sigmoid_backward``,
 ``bce_forward``/``bce_backward``), which the ops call and the graph-free
 pixel MLP shares.
 
-Tensors record their parents and a backward closure; calling
-``backward()`` on a scalar (or with an explicit seed gradient) propagates
-flow gradients in reverse creation order and accumulates them into the
-``grad`` of every tensor with ``requires_grad`` — so two backward passes
-without zeroing yield exactly twice the gradient.
+Op outputs record their parents and a backward closure; leaves have none.
+``backward()`` propagates flow in reverse creation order into the ``grad`` of
+every leaf with ``requires_grad``. A graph is walked once: walked nodes drop
+their closure and parents, freeing saved arrays, and a second walk raises.
 
 Conventions: feature maps are NCHW; reductions accumulate in float64 and are
 cast back to the input dtype; shape errors name the operator and extents.
@@ -79,11 +78,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     def backward(self, grad: np.ndarray | None = None):
-        """Accumulate d(self)/d(leaf) into every requiring tensor's ``grad``.
-
-        Flow gradients live in a per-call table, so repeated calls add one
-        full pass each rather than compounding stale state.
-        """
+        """Add d(self)/d(leaf) into every requiring leaf's ``grad``, consuming
+        the graph; reaching a walked node raises before any ``grad`` changes."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError(
@@ -101,29 +97,31 @@ class Tensor:
         stack = [self]
         while stack:
             node = stack.pop()
+            if node._backward is _walked:
+                _walked(None)  # raises
             order.append(node)
             for p in node._parents:
                 if id(p) not in seen:
                     seen.add(id(p))
                     stack.append(p)
-        order.sort(key=lambda t: t._seq, reverse=True)
+        order.sort(key=lambda t: t._seq)
 
         flows: dict[int, np.ndarray] = {id(self): grad}
-        nodes = {id(t): t for t in order}
-        for node in order:
-            flow = flows.pop(id(node), None)
-            if flow is None:
+        while order:  # popped newest first, so each node is dropped once walked
+            node = order.pop()
+            flow = flows.pop(id(node))
+            if node._backward is None:
+                if node.requires_grad:
+                    node.grad = flow.copy() if node.grad is None else node.grad + flow
                 continue
-            if node.requires_grad:
-                node.grad = flow.copy() if node.grad is None else node.grad + flow
-            if node._backward is not None:
-                for parent, contrib in node._backward(flow):
-                    pid = id(parent)
-                    nodes.setdefault(pid, parent)
-                    if pid in flows:
-                        flows[pid] = flows[pid] + contrib
-                    else:
-                        flows[pid] = contrib
+            closure, node._backward, node._parents = node._backward, _walked, ()
+            for parent, contrib in closure(flow):
+                pid = id(parent)
+                flows[pid] = flows[pid] + contrib if pid in flows else contrib
+
+
+def _walked(flow):  # the backward closure of a walked op output
+    raise RuntimeError("backward() reached a node of a graph that was already walked")
 
 
 def _as_tensor(x) -> Tensor:

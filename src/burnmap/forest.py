@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FitError
+from .errors import ConfigError, DataError, FitError
 from .modelio import load_model, meta_int, save_model
 from .seeding import rng_for
 
@@ -225,6 +225,33 @@ def save_forest(path: str | Path, model: RandomForestModel):
     save_model(path, "random_forest", meta, blocks)
 
 
+def _check_tree(t: int, tree: DecisionTree, n_features: int):
+    """Raise ConfigError unless the node arrays form a tree that
+    ``_tree_predict`` walks to a leaf, where it finds a burnt fraction: every
+    split node's children come after it, and a leaf (feature -1) has none."""
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    n = tree.feature.size
+    if n < 1 or any(a.shape != (n,) for a in arrays):
+        raise ConfigError(f"tree {t}: node arrays of shapes {[a.shape for a in arrays]}")
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (tree.feature, tree.left, tree.right)):
+        raise ConfigError(f"tree {t}: feature and child indices must be integers")
+    if not ((tree.feature >= -1) & (tree.feature < n_features)).all():
+        raise ConfigError(f"tree {t}: a feature index is outside [-1, {n_features})")
+    if not (np.isfinite(tree.threshold).all() and ((tree.value >= 0) & (tree.value <= 1)).all()):
+        raise ConfigError(f"tree {t}: a threshold is not finite or a leaf value not in [0, 1]")
+    node = np.arange(n)
+    ok = np.where(
+        tree.feature >= 0,
+        (tree.left > node) & (tree.left < n) & (tree.right > node) & (tree.right < n),
+        (tree.left == -1) & (tree.right == -1),
+    )
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ConfigError(
+            f"tree {t}: node {bad} of {n} has children {tree.left[bad]}, {tree.right[bad]}"
+        )
+
+
 def _forest_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> RandomForestModel:
     trees = tuple(
         DecisionTree(
@@ -236,6 +263,8 @@ def _forest_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> RandomFore
         )
         for t in range(meta["n_trees"])
     )
+    for t, tree in enumerate(trees):
+        _check_tree(t, tree, meta["n_features"])
     return RandomForestModel(
         trees=trees,
         n_features=meta["n_features"],
@@ -246,5 +275,6 @@ def _forest_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> RandomFore
 
 
 def load_forest(path: str | Path) -> RandomForestModel:
+    """Read a forest file; node arrays that do not form a tree raise FormatError."""
     fields = dict.fromkeys(("n_trees", "n_features", "max_depth", "min_leaf"), meta_int)
     return load_model(path, "random_forest", fields, _forest_from_blocks)

@@ -33,6 +33,7 @@ from .seeding import rng_for
 HIDDEN_WIDTHS = (128, 64)
 LEARNING_RATE = 0.001
 BATCH_SIZE = 32
+EPOCHS = 50
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -104,7 +105,7 @@ def mlp_fit(
     y: np.ndarray,
     seed: int,
     widths=None,
-    epochs: int = 50,
+    epochs: int = EPOCHS,
     batch_size: int = BATCH_SIZE,
     learning_rate: float = LEARNING_RATE,
 ) -> MlpModel:

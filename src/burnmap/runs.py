@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bamcd
+from . import bamcd, forest, mlp
 from .errors import ConfigError, DataError
 from .features import (
     FeatureSchema,
@@ -289,24 +289,24 @@ def cmd_ml_run(
                 train_ds.x,
                 train_ds.y,
                 seed=model_seed,
-                n_trees=get_int(config, "rf_trees", 100),
-                max_depth=get_int(config, "rf_max_depth", 12),
-                min_leaf=get_int(config, "rf_min_leaf", 2),
+                n_trees=get_int(config, "rf_trees", forest.N_TREES),
+                max_depth=get_int(config, "rf_max_depth", forest.MAX_DEPTH),
+                min_leaf=get_int(config, "rf_min_leaf", forest.MIN_LEAF),
             )
             save_forest(out_dir / f"model_r{r}.npb", model)
             importances.append(model.feature_importances)
             predict = lambda x, m=model: rf_predict(m, x)
         else:
-            hidden = get_int_tuple(config, "mlp_hidden", (128, 64))
+            hidden = get_int_tuple(config, "mlp_hidden", mlp.HIDDEN_WIDTHS)
             widths = (train_ds.x.shape[1], *hidden, 1)
             model = mlp_fit(
                 train_ds.x,
                 train_ds.y,
                 seed=model_seed,
                 widths=widths,
-                epochs=get_int(config, "mlp_epochs", 50),
-                batch_size=get_int(config, "mlp_batch", 32),
-                learning_rate=get_float(config, "mlp_lr", 0.001),
+                epochs=get_int(config, "mlp_epochs", mlp.EPOCHS),
+                batch_size=get_int(config, "mlp_batch", mlp.BATCH_SIZE),
+                learning_rate=get_float(config, "mlp_lr", mlp.LEARNING_RATE),
             )
             save_mlp(out_dir / f"model_r{r}.npb", model)
             predict = lambda x, m=model: mlp_predict(m, x)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FitError
+from .errors import ConfigError, DataError, FitError
 from .metrics import ConfusionCounts, MetricReport, accumulate, compute_metrics
 from .rasters import BitemporalSample
 from .spectral import IndexKind, delta_field
@@ -61,17 +61,25 @@ class ThresholdModel:
                 raise DataError(f"threshold model line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-        try:
-            return cls(
-                kind=IndexKind.parse(fields["kind"]),
-                threshold=float(fields["threshold"]),
-                grid_lo=float(fields["grid_lo"]),
-                grid_hi=float(fields["grid_hi"]),
-                grid_steps=int(fields["grid_steps"]),
-                train_f1=float(fields["train_f1"]),
-            )
-        except KeyError as exc:
-            raise DataError(f"threshold model missing field {exc}") from None
+
+        def read(key, parse):
+            if key not in fields:
+                raise DataError(f"threshold model missing field {key!r}")
+            try:
+                return parse(fields[key])
+            except (ValueError, ConfigError):
+                raise DataError(
+                    f"threshold model field {key}={fields[key]!r} does not parse"
+                ) from None
+
+        return cls(
+            kind=read("kind", IndexKind.parse),
+            threshold=read("threshold", float),
+            grid_lo=read("grid_lo", float),
+            grid_hi=read("grid_hi", float),
+            grid_steps=read("grid_steps", int),
+            train_f1=read("train_f1", float),
+        )
 
     def save(self, path: str | Path):
         Path(path).write_text(self.to_text(), encoding="utf-8")

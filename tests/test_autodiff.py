@@ -7,6 +7,8 @@ Non-scalar outputs are reduced through a fixed random projection so the
 oracle stays scalar-valued.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from grad_check import numeric_grad, relative_error
@@ -435,27 +437,71 @@ class TestForwardValues:
 
 
 class TestGraphMechanics:
-    """Tape behaviour: accumulation, gating, error reporting."""
+    """Tape behaviour: single-use walks, gating, error reporting."""
 
-    def test_two_backward_passes_double_the_gradient(self):
-        rng = np.random.default_rng(80)
-        x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        out = ad.loss_dice(ad.sigmoid(ad.matmul(x, w)), np.eye(3))
+    @staticmethod
+    def _graph(x, w):
+        """The op outputs of dice(sigmoid(x @ w), I), root last."""
+        prod = ad.matmul(x, w)
+        probs = ad.sigmoid(prod)
+        return prod, probs, ad.loss_dice(probs, np.eye(3))
+
+    @staticmethod
+    def _leaves(seed):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.standard_normal((3, 3)), requires_grad=True) for _ in range(2)]
+
+    def test_gradients_reach_leaves_only(self):
+        x, w = self._leaves(80)
+        *ops, out = self._graph(x, w)
         out.backward()
+        assert all(t.grad is None for t in (*ops, out))
+        arrays = [x.data, w.data]
+
+        def loss(*arrs):
+            return float(self._graph(*map(Tensor, arrs))[-1].data)
+
+        for wrt, leaf in enumerate((x, w)):
+            numeric = numeric_grad(loss, arrays, wrt, h=H)
+            assert relative_error(leaf.grad, numeric) < TOL
+
+    def test_leaf_gradients_accumulate_across_graphs(self):
+        x, w = self._leaves(81)
+        self._graph(x, w)[-1].backward()
         first_x, first_w = x.grad.copy(), w.grad.copy()
-        out.backward()
+        self._graph(x, w)[-1].backward()
         np.testing.assert_allclose(x.grad, 2.0 * first_x, rtol=1e-12)
         np.testing.assert_allclose(w.grad, 2.0 * first_w, rtol=1e-12)
 
-    def test_intermediate_tensor_gradients_accumulate_too(self):
-        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    def test_second_walk_of_a_root_raises(self):
+        x, w = self._leaves(82)
+        out = self._graph(x, w)[-1]
+        out.backward()
+        first_x = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already walked"):
+            out.backward()
+        np.testing.assert_array_equal(x.grad, first_x)
+
+    def test_walk_from_a_second_root_through_walked_nodes_raises(self):
+        x, w = self._leaves(83)
+        _, probs, out = self._graph(x, w)
+        other = ad.add(ad.loss_bce(probs, np.eye(3)), ad.loss_dice(ad.relu(w), np.eye(3)))
+        out.backward()
+        first_x, first_w = x.grad.copy(), w.grad.copy()
+        with pytest.raises(RuntimeError, match="already walked"):
+            other.backward()
+        np.testing.assert_array_equal(x.grad, first_x)
+        np.testing.assert_array_equal(w.grad, first_w)  # raised before the relu path ran
+
+    def test_walk_frees_activations_held_only_by_the_graph(self):
+        x = self._leaves(84)[0]
         mid = ad.relu(x)
-        out = ad.loss_dice(ad.sigmoid(mid), np.array([[1.0, 0.0]]))
+        freed = weakref.ref(mid.data)
+        out = ad.loss_dice(ad.sigmoid(mid), np.eye(3))
+        del mid
+        assert freed() is not None  # the graph holds it until the walk
         out.backward()
-        first = mid.grad.copy()
-        out.backward()
-        np.testing.assert_allclose(mid.grad, 2.0 * first, rtol=1e-12)
+        assert freed() is None
 
     def test_backward_without_seed_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

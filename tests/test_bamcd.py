@@ -420,6 +420,25 @@ class TestTraining:
             assert p.grad is not None, name
             assert np.linalg.norm(p.grad) > 0.0, name
 
+    def test_backward_leaves_no_gradient_on_op_outputs(self):
+        model = build(TINY)
+        x_pre, x_post, truth = stack(make_samples(4, 52))
+        model.train()
+        loss = ad.loss_bce(model.forward_batch(Tensor(x_pre), Tensor(x_post)), truth)
+        graph, todo = {id(loss): loss}, [loss]
+        while todo:
+            for parent in todo.pop()._parents:
+                if id(parent) not in graph:
+                    graph[id(parent)] = parent
+                    todo.append(parent)
+        ops = [t for t in graph.values() if t._backward is not None]
+        assert len(ops) > 50
+        loss.backward()
+        assert all(t.grad is None and t._parents == () for t in ops)
+        assert all(p.grad is not None for p in model.parameters())
+        with pytest.raises(RuntimeError, match="already walked"):
+            loss.backward()
+
     def test_learns_spectral_signature(self):
         config = replace(TINY, epochs=20, loss="bce_dice", seed=5, learning_rate=0.01)
         model = build(config)

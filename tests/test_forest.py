@@ -6,13 +6,14 @@ and compares it with the vectorized batch path; structural properties
 correct behavior is known by construction.
 """
 
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 from cluster_data import best_stump_accuracy, separable_clusters, xor_data
 
-from burnmap.errors import DataError, FitError
+from burnmap.errors import DataError, FitError, FormatError
 from burnmap.forest import (
     DecisionTree,
     RandomForestModel,
@@ -40,6 +41,12 @@ def tree_depth(tree: DecisionTree, node: int = 0) -> int:
     if tree.feature[node] < 0:
         return 0
     return 1 + max(tree_depth(tree, int(tree.left[node])), tree_depth(tree, int(tree.right[node])))
+
+
+def _with(arr: np.ndarray, index: int, value) -> np.ndarray:
+    arr = arr.copy()
+    arr[index] = value
+    return arr
 
 
 def _leaf_only_tree(fraction: float) -> DecisionTree:
@@ -254,4 +261,37 @@ class TestSerialization:
         path = tmp_path / "other.npb"
         save_blocks(path, {"__meta__": text_block("kind=mlp\n")})
         with pytest.raises(DataError, match="'mlp' model, not 'random_forest'"):
+            load_forest(path)
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("left", lambda a, n: _with(a, 0, 0)),  # a self loop: predict never ends
+            ("right", lambda a, n: _with(a, 0, n)),
+            ("left", lambda a, n: _with(a, 0, -1)),
+            ("feature", lambda a, n: _with(a, 0, 2)),  # the forest has 2 features
+            ("feature", lambda a, n: _with(a, n - 1, -2)),
+            ("right", lambda a, n: _with(a, n - 1, 0)),  # a leaf with a child
+            ("value", lambda a, n: a[:-1]),
+            ("value", lambda a, n: _with(a, n - 1, 1.5)),
+            ("threshold", lambda a, n: _with(a, 0, np.nan)),
+            ("feature", lambda a, n: a.astype(np.float32)),
+            ("all", lambda a, n: a[:0]),
+        ],
+    )
+    def test_node_arrays_that_are_not_a_tree_are_rejected(self, tmp_path, field, damage):
+        x, y = separable_clusters(seed=44, n=60)
+        model = rf_fit(x, y, seed=45, n_trees=2, max_depth=3)
+        tree = model.trees[1]
+        n = tree.feature.size
+        assert n >= 3 and tree.feature[0] >= 0 and tree.feature[n - 1] < 0
+        changes = {
+            name: damage(getattr(tree, name), n)
+            for name in ("feature", "threshold", "left", "right", "value")
+            if field in (name, "all")
+        }
+        trees = (model.trees[0], dataclasses.replace(tree, **changes))
+        path = tmp_path / "forest.npb"
+        save_forest(path, dataclasses.replace(model, trees=trees))
+        with pytest.raises(FormatError, match="forest.npb: tree 1: "):
             load_forest(path)

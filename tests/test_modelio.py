@@ -196,7 +196,16 @@ def _mlp_container() -> bytes:
 def _forest_file(path):
     x, y = separable_clusters(seed=5, n=40)
     forest.save_forest(path, forest.rf_fit(x, y, seed=6, n_trees=2, max_depth=3))
-    return forest.load_forest
+
+    def load_and_predict(path):
+        """A forest that loads must also predict burnt fractions."""
+        model = forest.load_forest(path)
+        probe = np.random.default_rng(12).uniform(-3.0, 3.0, (64, model.n_features))
+        proba = forest.rf_predict(model, probe)
+        assert ((proba >= 0.0) & (proba <= 1.0)).all(), proba
+        return model
+
+    return load_and_predict
 
 
 def _mlp_file(path):

@@ -142,6 +142,17 @@ class TestSerialization:
         with pytest.raises(DataError, match="missing"):
             ThresholdModel.from_text("kind=NBR\nthreshold=0.5\n")
 
+    @pytest.mark.parametrize(
+        "key, value", [("threshold", "abc"), ("grid_steps", "3.5"), ("kind", "XYZ")]
+    )
+    def test_unparsable_value_names_the_key(self, key, value):
+        fields = dict(kind="NBR", threshold="0.5", grid_lo="0.0", grid_hi="1.0",
+                      grid_steps="8", train_f1="0.5")
+        fields[key] = value
+        text = "".join(f"{k}={v}\n" for k, v in fields.items())
+        with pytest.raises(DataError, match=f"field {key}='{value}' does not parse"):
+            ThresholdModel.from_text(text)
+
     def test_bad_line(self):
         with pytest.raises(DataError, match="key=value"):
             ThresholdModel.from_text("kind=NBR\nnonsense\n")

@@ -23,6 +23,12 @@ im2col: ``conv2d`` pads its input once into a channels-last buffer and runs
 each kernel tap as a 1x1 GEMM over a shifted block of that buffer, so no
 kh*kw-times column matrix is built, and its backward closure keeps only the
 padded input (see ``conv2d``).
+
+Batch norm is one fused node: ``batchnorm`` optionally adds a ``shortcut``
+tensor and rectifies (``relu=True``) in place on its one output array, so
+the network's norm -> shortcut add -> rectifier steps record one node, and
+its backward takes the rectifier mask from the output's sign (see
+``batchnorm``).
 """
 
 from __future__ import annotations
@@ -437,60 +443,95 @@ def batchnorm(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
+    shortcut: Tensor | None = None,
+    relu: bool = False,
 ) -> Tensor:
-    """Per-channel normalization of NCHW maps.
+    """Per-channel normalization of NCHW maps, fused with an optional
+    ``shortcut`` add and an optional rectifier: with both it is
+    max(gamma * xhat + beta + shortcut, 0), where a NaN rectifies to 0.
 
     Training mode normalizes by batch statistics and updates the caller-owned
-    running arrays in place (biased variance throughout); eval mode is a fixed
-    affine map from the running statistics.
+    running arrays in place (biased variance throughout). The statistics are
+    float64 sums: of the input for the mean, then of the squares of the
+    input centred in its own dtype for the variance, so no float64 copy of
+    the activation is made. Eval mode is one fixed scale-and-shift from the
+    running statistics.
+
+    Normalize, affine, add and rectify run in place on one output array, the
+    only input-sized array the node makes. Backward takes the rectifier mask
+    from the output's sign, hands the masked flow to the shortcut as is, and
+    gets the normalized input's sums from ``x`` and the statistics.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm: expected NCHW input, got {x.data.shape}")
-    c = x.data.shape[1]
+    n, c, h, w = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(
             f"batchnorm: gamma {gamma.data.shape} / beta {beta.data.shape} vs {c} channels"
         )
+    parents = (x, gamma, beta)
+    if shortcut is not None:
+        shortcut = _as_tensor(shortcut)
+        if shortcut.data.shape != x.data.shape:
+            raise ShapeError(f"batchnorm: shortcut {shortcut.data.shape} vs input {x.data.shape}")
+        parents += (shortcut,)
 
     dt = x.data.dtype
+    m = n * h * w
+    x3 = x.data.reshape(n, c, h * w)
     if training:
-        mean = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
-        var = x.data.astype(np.float64).var(axis=(0, 2, 3))
+        mean64 = np.einsum("nch->c", x3, dtype=np.float64) / m
+        mean = mean64.astype(dt)[:, None]
+        out = x3 - mean
+        var64 = np.einsum("nch,nch->c", out, out, dtype=np.float64) / m
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.astype(running_mean.dtype)
+        running_mean += momentum * mean64.astype(running_mean.dtype)
         running_var *= 1.0 - momentum
-        running_var += momentum * var.astype(running_var.dtype)
-        mean, var = mean.astype(dt), var.astype(dt)
+        running_var += momentum * var64.astype(running_var.dtype)
+        inv_std = (1.0 / np.sqrt(var64.astype(dt) + eps))[:, None]
+        scale = gamma.data[:, None] * inv_std
+        out *= scale
+        out += beta.data[:, None]
     else:
-        mean = running_mean.astype(dt)
-        var = running_var.astype(dt)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        mean = running_mean.astype(dt)[:, None]
+        inv_std = (1.0 / np.sqrt(running_var.astype(dt) + eps))[:, None]
+        scale = gamma.data[:, None] * inv_std
+        out = x3 * scale
+        out += beta.data[:, None] - mean * scale
+    if shortcut is not None:
+        out += shortcut.data.reshape(out.shape)
+    if relu:
+        np.fmax(out, 0, out=out)
 
     def backward(flow):
-        out = []
+        grads = []
+        g = flow.reshape(out.shape)
+        if relu:
+            g = g * (out > 0)
+        if shortcut is not None and shortcut.requires_grad:
+            grads.append((shortcut, g.reshape(x.data.shape)))
+        # sum(g * xhat) without building xhat: inv_std * (sum(g * x) - mean * sum(g))
+        sum_g = np.einsum("nch->c", g, dtype=np.float64)
+        sum_gx = np.einsum("nch,nch->c", g, x3, dtype=np.float64) - mean[:, 0] * sum_g
+        sum_gx *= inv_std[:, 0]
         if gamma.requires_grad:
-            out.append((gamma, (flow * xhat).sum(axis=(0, 2, 3))))
+            grads.append((gamma, sum_gx.astype(dt)))
         if beta.requires_grad:
-            out.append((beta, flow.sum(axis=(0, 2, 3))))
+            grads.append((beta, sum_g.astype(dt)))
         if x.requires_grad:
-            g = gamma.data[None, :, None, None]
-            istd = inv_std[None, :, None, None]
-            if training:
-                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-                dxhat = flow * g
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                dx = istd * (dxhat - s1 / m - xhat * s2 / m)
+            if training:  # scale * (g - sum_g / m - xhat * sum_gx / m)
+                dx = x3 - mean
+                dx *= (-inv_std[:, 0] * sum_gx / m).astype(dt)[:, None]
+                dx += g
+                dx -= (sum_g / m).astype(dt)[:, None]
+                dx *= scale
             else:
-                dx = flow * g * istd
-            out.append((x, dx))
-        return out
+                dx = g * scale
+            grads.append((x, dx.reshape(x.data.shape)))
+        return grads
 
-    return _make(data, (x, gamma, beta), backward)
+    return _make(out.reshape(x.data.shape), parents, backward)
 
 
 # ---------------------------------------------------------------- pooling

@@ -148,10 +148,9 @@ class ResBlock(nn.Module):
             self.proj_bn = None
 
     def forward(self, x: Tensor) -> Tensor:
-        h = ad.relu(self.bn1.forward(self.conv1.forward(x)))
-        h = self.bn2.forward(self.conv2.forward(h))
+        h = self.bn1.forward(self.conv1.forward(x), relu=True)
         short = x if self.proj_conv is None else self.proj_bn.forward(self.proj_conv.forward(x))
-        return ad.relu(ad.add(h, short))
+        return self.bn2.forward(self.conv2.forward(h), shortcut=short, relu=True)
 
 
 class Encoder(nn.Module):
@@ -172,7 +171,7 @@ class Encoder(nn.Module):
             self.stages.append(stage)
 
     def forward(self, x: Tensor) -> list[Tensor]:
-        h = ad.relu(self.stem_bn.forward(self.stem_conv.forward(x)))
+        h = self.stem_bn.forward(self.stem_conv.forward(x), relu=True)
         features = []
         for stage in self.stages:
             for block in stage:
@@ -214,8 +213,8 @@ class ConvBlock(nn.Module):
         self.bn2 = nn.BatchNorm2d(width)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = ad.relu(self.bn1.forward(self.conv1.forward(x)))
-        return ad.relu(self.bn2.forward(self.conv2.forward(h)))
+        h = self.bn1.forward(self.conv1.forward(x), relu=True)
+        return self.bn2.forward(self.conv2.forward(h), relu=True)
 
 
 class DecoderLevel(nn.Module):

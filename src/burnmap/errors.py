@@ -3,6 +3,10 @@
 The CLI maps these onto distinct exit codes (config 2, data 3, divergence 4).
 """
 
+from __future__ import annotations
+
+from pathlib import Path
+
 
 class BurnmapError(Exception):
     """Base class for all package errors."""
@@ -36,3 +40,16 @@ class DivergenceError(BurnmapError):
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)
         self.epoch = epoch
+
+
+def read_text(path: str | Path, error: type[BurnmapError] = DataError) -> str:
+    """The UTF-8 text of the file at ``path``. Content that is not UTF-8
+    raises ``error`` naming the file and the first bad byte, so the CLI exits
+    with that error's code rather than on a decoding traceback."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(
+            f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None

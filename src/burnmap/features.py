@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, read_text
 from .rasters import ALL_BANDS, BandId, BitemporalSample, balance_negatives
 from .seeding import rng_for
 from .spectral import UNITEMPORAL, IndexKind, IndexPlanes
@@ -102,7 +102,7 @@ class FeatureSchema:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSchema":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
 
 def all_schema(bands: tuple[BandId, ...] = ALL_BANDS) -> FeatureSchema:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .patchio import load_sample, save_sample
 from .rasters import SPLITS, BitemporalSample
 
@@ -101,7 +101,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     settings: dict[str, str] = {}
     entries: list[ManifestEntry] = []
     saw_header = False
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

@@ -173,7 +173,7 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, shortcut: Tensor | None = None, relu: bool = False) -> Tensor:
         return ad.batchnorm(
             x,
             self.gamma,
@@ -183,6 +183,8 @@ class BatchNorm2d(Module):
             training=self.training,
             momentum=self.momentum,
             eps=self.eps,
+            shortcut=shortcut,
+            relu=relu,
         )
 
 

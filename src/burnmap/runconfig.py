@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 _MISSING = object()
 
@@ -35,7 +35,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str | Path) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)

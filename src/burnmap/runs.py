@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bamcd, forest, mlp
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 from .features import (
     FeatureSchema,
     all_schema,
@@ -235,7 +235,7 @@ def _resolve_schema(config: dict[str, str], bands) -> FeatureSchema:
         raise ConfigError(
             f"mi_source run used schema {base.variant!r}; MI derives from All"
         )
-    importance_lines = (source / "importances.txt").read_text(encoding="utf-8")
+    importance_lines = read_text(source / "importances.txt")
     weights = []
     for line in importance_lines.splitlines():
         if line.strip():
@@ -392,7 +392,7 @@ def cmd_dl_run(
 
 
 def _read_metrics_csv(path: Path) -> list[dict[str, str]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path} is empty")
     header = lines[0].split(",")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, read_text
 from .metrics import ConfusionCounts, MetricReport, accumulate, compute_metrics
 from .rasters import BitemporalSample
 from .spectral import IndexKind, delta_field
@@ -86,7 +86,7 @@ class ThresholdModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdModel":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
 
 def binarize(field: np.ndarray, threshold: float) -> np.ndarray:

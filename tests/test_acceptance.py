@@ -158,6 +158,18 @@ def test_criterion_02_gradient_checks(announce):
         ("loss focal", lambda t: ad.loss_focal(t, y, alpha=0.25, gamma=2.0), [yhat]),
         ("loss dice", lambda t: ad.loss_dice(t, y), [yhat]),
         ("loss bce_dice", lambda t: ad.loss_bce_dice(t, y), [yhat]),
+        ("batchnorm train relu",
+         lambda t, g, b: ad.batchnorm(
+             t, g, b, np.zeros(3), np.ones(3), training=True, relu=True),
+         [x, gamma, beta]),
+        ("batchnorm eval relu",
+         lambda t, g, b: ad.batchnorm(
+             t, g, b, rm.copy(), rv.copy(), training=False, relu=True),
+         [x, gamma, beta]),
+        ("batchnorm train shortcut relu",
+         lambda t, g, b, s: ad.batchnorm(
+             t, g, b, np.zeros(3), np.ones(3), training=True, shortcut=s, relu=True),
+         [x, gamma, beta, rng.standard_normal((2, 3, 4, 4))]),
     ]
     worst = 0.0
     for name, op, arrays in cases:

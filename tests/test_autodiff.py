@@ -229,6 +229,68 @@ class TestNormalizationGradients:
         fd_check(op, [x, gamma, beta], rng)
 
 
+class TestFusedBatchNorm:
+    """The fused batch-norm node against the separate ops it replaces."""
+
+    @staticmethod
+    def _run(fused, training, arrays, proj):
+        x, gamma, beta, s = (Tensor(a, requires_grad=True) for a in arrays)
+        rm, rv = np.full(3, 0.2, np.float32), np.full(3, 1.5, np.float32)
+        if fused:
+            out = ad.batchnorm(x, gamma, beta, rm, rv, training, shortcut=s, relu=True)
+        else:
+            out = ad.relu(ad.add(ad.batchnorm(x, gamma, beta, rm, rv, training), s))
+        out.backward(proj)
+        return [out.data] + [t.grad for t in (x, gamma, beta, s)]
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_equals_rectified_sum_of_separate_ops(self, training):
+        rng = np.random.default_rng(42)
+        arrays = [
+            rng.standard_normal((2, 3, 5, 5)) * 2.0 + 1.0,
+            rng.standard_normal(3) + 1.0,
+            rng.standard_normal(3),
+            rng.standard_normal((2, 3, 5, 5)),
+        ]
+        arrays = [a.astype(np.float32) for a in arrays]
+        proj = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+        fused = self._run(True, training, arrays, proj)
+        separate = self._run(False, training, arrays, proj)
+        for name, got, want in zip(("output", "x", "gamma", "beta", "shortcut"), fused, separate):
+            assert got.dtype == np.float32, name
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5, err_msg=name)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_nan_input_rectifies_to_zero(self, training):
+        x = np.ones((1, 2, 2, 2), np.float32)
+        x[0, 0, 1, 1] = np.nan
+        out = ad.batchnorm(
+            Tensor(x), Tensor(np.ones(2, np.float32)), Tensor(np.ones(2, np.float32)),
+            np.zeros(2, np.float32), np.ones(2, np.float32), training, relu=True,
+        )
+        assert out.data[0, 0, 1, 1] == 0.0
+        assert np.all(np.isfinite(out.data))
+
+    def test_zero_output_gets_zero_gradient(self):
+        x = Tensor(np.array([-1.0, 0.0, 2.0, 0.5]).reshape(1, 1, 1, 4), requires_grad=True)
+        s = Tensor(np.array([0.5, 0.0, 1.0, -0.5]).reshape(1, 1, 1, 4), requires_grad=True)
+        out = ad.batchnorm(
+            x, Tensor(np.ones(1)), Tensor(np.zeros(1)), np.zeros(1), np.ones(1),
+            training=False, eps=0.0, shortcut=s, relu=True,
+        )
+        np.testing.assert_array_equal(out.data.ravel(), [0.0, 0.0, 3.0, 0.0])
+        out.backward(np.ones((1, 1, 1, 4)))
+        np.testing.assert_array_equal(x.grad.ravel(), [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(s.grad.ravel(), [0.0, 0.0, 1.0, 0.0])
+
+    def test_shortcut_shape_must_match(self):
+        with pytest.raises(ShapeError, match="batchnorm: shortcut"):
+            ad.batchnorm(
+                Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                np.zeros(2), np.ones(2), training=True, shortcut=Tensor(np.ones((1, 2, 2, 1))),
+            )
+
+
 class TestPoolingGradients:
     def test_global_avg_pool(self):
         rng = np.random.default_rng(51)

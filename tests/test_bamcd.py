@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from burnmap import autodiff as ad
-from burnmap import bamcd
+from burnmap import bamcd, nn
 from burnmap.autodiff import Tensor, loss_bce
 from burnmap.bamcd import (
     CONFIG_FIELDS,
@@ -133,6 +133,13 @@ def make_samples(n, seed, side=16, bands=ALL_BANDS, burn="half"):
             )
         )
     return samples
+
+
+def modules(module):
+    """``module`` and every module below it."""
+    yield module
+    for child in module._children.values():
+        yield from modules(child)
 
 
 def stack(samples):
@@ -432,12 +439,41 @@ class TestTraining:
                     graph[id(parent)] = parent
                     todo.append(parent)
         ops = [t for t in graph.values() if t._backward is not None]
-        assert len(ops) > 50
+        layers = [m for m in modules(model) if isinstance(m, (nn.Conv2d, nn.BatchNorm2d))]
+        assert len(ops) >= len(layers) > 0
         loss.backward()
         assert all(t.grad is None and t._parents == () for t in ops)
         assert all(p.grad is not None for p in model.parameters())
         with pytest.raises(RuntimeError, match="already walked"):
             loss.backward()
+
+    def test_no_rectifier_or_add_node_follows_a_batch_norm(self, monkeypatch):
+        """Batch norm fuses the shortcut add and the rectifier that follow
+        it, so no separate relu or add node takes a batch-norm output."""
+        batchnorm, relu, add = ad.batchnorm, ad.relu, ad.add
+        normalized, consumed = [], []
+
+        def recording_batchnorm(*args, **kwargs):
+            normalized.append(batchnorm(*args, **kwargs))
+            return normalized[-1]
+
+        def recording_relu(x):
+            consumed.append(x)
+            return relu(x)
+
+        def recording_add(a, b):
+            consumed.extend((a, b))
+            return add(a, b)
+
+        monkeypatch.setattr(ad, "batchnorm", recording_batchnorm)
+        monkeypatch.setattr(ad, "relu", recording_relu)
+        monkeypatch.setattr(ad, "add", recording_add)
+        model = build(mini_config())
+        x_pre, x_post, truth = stack(make_samples(2, 53))
+        model.train()
+        ad.loss_bce_dice(model.forward_batch(Tensor(x_pre), Tensor(x_post)), truth)
+        assert len(normalized) == 30 and consumed  # the scSE gates still rectify
+        assert not any(t is bn for t in consumed for bn in normalized)
 
     def test_learns_spectral_signature(self):
         config = replace(TINY, epochs=20, loss="bce_dice", seed=5, learning_rate=0.01)

@@ -2,6 +2,7 @@
 dispatch, printed output, and the exit-code contract."""
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,33 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "cannot read config file" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n_train=4\n\xff\n")
+        rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "bad.cfg is not UTF-8 text: byte 0xff at offset 10" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_data_error(self, dataset_dir, tmp_path, capsys):
+        data = shutil.copytree(dataset_dir, tmp_path / "data")
+        manifest = bytearray((data / "manifest.csv").read_bytes())
+        manifest[40] = 0xFF
+        (data / "manifest.csv").write_bytes(bytes(manifest))
+        cfg = write_config(
+            tmp_path / "i.cfg", {"manifest": str(data / "manifest.csv"), "index": "NBR"}
+        )
+        rc = main(["index-eval", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "manifest.csv is not UTF-8 text: byte 0xff at offset 40" in capsys.readouterr().err
+
+    def test_non_utf8_metrics_table_is_data_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_bytes(b"method,\xfe\n")
+        rc = main(["report", str(run), "--out", str(tmp_path / "summary")])
+        assert rc == 3
+        assert "metrics.csv is not UTF-8 text: byte 0xfe at offset 7" in capsys.readouterr().err
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,6 +1,7 @@
 """Tests for the batch run commands behind the CLI."""
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,21 @@ class TestMlRun:
     def test_mi_without_source_rejected(self, dataset_dir, tmp_path):
         cfg = dict(self.RF_CFG, schema="MI", manifest=str(dataset_dir / "manifest.csv"))
         with pytest.raises(ConfigError, match="mi_source"):
+            cmd_ml_run(cfg, tmp_path / "out", seed=8)
+
+    @pytest.mark.parametrize("name", ["schema.txt", "importances.txt"])
+    def test_non_utf8_mi_source_is_data_error(self, rf_all_run, dataset_dir, tmp_path, name):
+        source = shutil.copytree(rf_all_run, tmp_path / "source")
+        text = bytearray((source / name).read_bytes())
+        text[12] = 0xFF
+        (source / name).write_bytes(bytes(text))
+        cfg = dict(
+            self.RF_CFG,
+            schema="MI",
+            mi_source=str(source),
+            manifest=str(dataset_dir / "manifest.csv"),
+        )
+        with pytest.raises(DataError, match=f"{name} is not UTF-8 text: byte 0xff at offset 12"):
             cmd_ml_run(cfg, tmp_path / "out", seed=8)
 
     def test_dsi_schema_has_only_deltas(self, dataset_dir, tmp_path):

@@ -138,6 +138,11 @@ class TestSerialization:
         back = ThresholdModel.load(tmp_path / "model.txt")
         assert back == m
 
+    def test_non_utf8_model_file_is_data_error(self, tmp_path):
+        (tmp_path / "model.txt").write_bytes(b"kind=NBR\nthreshold=0.\xe9\n")
+        with pytest.raises(DataError, match="model.txt is not UTF-8 text: byte 0xe9 at offset 21"):
+            ThresholdModel.load(tmp_path / "model.txt")
+
     def test_missing_field(self):
         with pytest.raises(DataError, match="missing"):
             ThresholdModel.from_text("kind=NBR\nthreshold=0.5\n")

@@ -16,13 +16,17 @@ their closure and parents, freeing saved arrays, and a second walk raises.
 Conventions: feature maps are NCHW; reductions accumulate in float64 and are
 cast back to the input dtype; shape errors name the operator and extents.
 Arrays passed in are never mutated (batch-norm running statistics, which the
-caller owns as plain arrays, are the one documented exception).
+caller owns as plain arrays, are the one documented exception). Backward
+relies on this: closures read their inputs' ``data`` when the walk reaches
+them, and ``conv2d`` rebuilds its padded input from it, so an input array
+changed in place between forward and backward would give wrong gradients.
 
 Convolution, the hot path of training, is shift-and-accumulate rather than
-im2col: ``conv2d`` pads its input once into a channels-last buffer and runs
-each kernel tap as a 1x1 GEMM over a shifted block of that buffer, so no
-kh*kw-times column matrix is built, and its backward closure keeps only the
-padded input (see ``conv2d``).
+im2col: ``conv2d`` pads its input into a channels-last buffer and runs each
+kernel tap as a 1x1 GEMM over a shifted block of that buffer, so no
+kh*kw-times column matrix is built. The padded buffer is not kept for
+backward: the kernel gradient rebuilds it from the input's ``data`` (see
+``conv2d``).
 
 Batch norm is one fused node: ``batchnorm`` optionally adds a ``shortcut``
 tensor and rectifies (``relu=True``) in place on its one output array, so
@@ -301,12 +305,12 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), where a NaN rectifies to 0; backward masks by the output's sign."""
     x = _as_tensor(x)
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0)
+    data = np.fmax(x.data, 0)
 
     def backward(flow):
-        return [(x, flow * mask)] if x.requires_grad else []
+        return [(x, flow * (data > 0))] if x.requires_grad else []
 
     return _make(data, (x,), backward)
 
@@ -339,10 +343,27 @@ def sigmoid(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------- convolution
 
 
+def _pad_channels_last(x: np.ndarray, padding: int, dt) -> np.ndarray:
+    """(N,C,H,W) -> zero-padded channels-last (N,H+2p,W+2p,C) in dtype ``dt``.
+
+    Only the border is zeroed; the interior is written once, by the copy.
+    """
+    n, c, h, w = x.shape
+    p = padding
+    xp = np.empty((n, h + 2 * p, w + 2 * p, c), dt)
+    if p:
+        xp[:, :p] = 0
+        xp[:, p + h :] = 0
+        xp[:, p : p + h, :p] = 0
+        xp[:, p : p + h, p + w :] = 0
+    xp[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with (F,C,kh,kw) kernels, zero padded.
 
-    Shift-and-accumulate: the input is padded once into a channels-last
+    Shift-and-accumulate: the input is padded into a channels-last
     buffer ``xp`` of shape (N,Hp,Wp,C), and each of the kh*kw kernel taps
     runs as one GEMM of a (pixels, C) block of ``xp`` against that tap's
     (C,F) weights, accumulated into the output. At stride 1 the block of tap
@@ -352,10 +373,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     work. At stride 2 each tap's strided slice of ``xp`` is copied; it is a
     quarter of the input.
 
-    Backward scatters the output gradient into the same grid, then per tap
-    takes the kernel gradient as block.T @ grad and adds grad @ tap.T into
-    the input gradient's block. The closure keeps ``xp`` (about the size of
-    the input) and the kernel, not a kh*kw-times column buffer.
+    ``xp`` is freed before the node is returned: the closure keeps the
+    input and kernel tensors, the per-tap weights and shape scalars, and no
+    input-sized buffer of its own. Backward scatters the output gradient
+    into the same grid. If the kernel needs a gradient, it rebuilds ``xp``
+    from ``x.data``, takes each tap's kernel gradient as block.T @ grad, and
+    frees ``xp`` again; the input gradient then adds grad @ tap.T into each
+    tap's block of a zeroed padded buffer. The rebuilt ``xp`` equals the
+    forward one, and so do the GEMMs it feeds, only because ``x.data`` is
+    never mutated between forward and backward (the module convention).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -373,8 +399,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     dt = np.result_type(x.data, w.data)
     offsets = list(itertools.product(range(kh), range(kw)))
 
-    xp = np.zeros((n, hp, wp, c), dt)
-    xp[:, padding : padding + h, padding : padding + width] = x.data.transpose(0, 2, 3, 1)
     taps = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dt)  # (kh,kw,C,F)
 
     if stride == 1:
@@ -395,16 +419,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         def window(buf, i, j):
             return buf[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
 
-    def block(i, j):  # (m, C); a copy only at stride 2
-        return window(xp, i, j).reshape(m, c)
+    def block(buf, i, j):  # (m, C); a copy only at stride 2
+        return window(buf, i, j).reshape(m, c)
 
+    xp = _pad_channels_last(x.data, padding, dt)
     grid = np.zeros(grid_shape, dt)
     acc = grid.reshape(-1, f)[:m]
     part = np.empty((m, f), dt)
     for k, (i, j) in enumerate(offsets):
-        np.matmul(block(i, j), taps[i, j], out=part if k else acc)
+        np.matmul(block(xp, i, j), taps[i, j], out=part if k else acc)
         if k:
             acc += part
+    del xp
     data = np.ascontiguousarray(grid[:, :ho, :wo].transpose(0, 3, 1, 2))
 
     def backward(flow):
@@ -413,12 +439,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         g[:, :ho, :wo] = flow.transpose(0, 2, 3, 1)
         g = g.reshape(-1, f)[:m]
         if w.requires_grad:
+            xp = _pad_channels_last(x.data, padding, dt)
             dtaps = np.empty((kh, kw, c, f), dt)
             for i, j in offsets:
-                np.matmul(block(i, j).T, g, out=dtaps[i, j])
+                np.matmul(block(xp, i, j).T, g, out=dtaps[i, j])
+            del xp
             out.append((w, np.ascontiguousarray(dtaps.transpose(3, 2, 0, 1))))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros((n, hp, wp, c), dt)
             part = np.empty((m, c), dt)
             for i, j in offsets:
                 np.matmul(g, taps[i, j].T, out=part)

@@ -7,6 +7,7 @@ Non-scalar outputs are reduced through a fixed random projection so the
 oracle stays scalar-valued.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -148,6 +149,31 @@ class TestConvGradients:
         w = rng.standard_normal((4, 3, 3, 3))
         fd_check(lambda t, k: ad.conv2d(t, k, stride=1, padding=0), [x, w], rng)
 
+    def test_conv2d_stride2_unpadded(self):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((2, 3, 5, 5))
+        w = rng.standard_normal((4, 3, 3, 3))
+        fd_check(lambda t, k: ad.conv2d(t, k, stride=2, padding=0), [x, w], rng)
+
+
+class TestConvMemory:
+    """The forward node keeps no input-sized buffer for its backward pass."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_keeps_no_padded_copy(self, stride):
+        rng = np.random.default_rng(35 + stride)
+        x = Tensor(rng.standard_normal((8, 16, 64, 64), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3), dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, stride=stride, padding=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes < x.data.nbytes / 8
+        out.backward(np.ones_like(out.data))
+        assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
+
 
 def conv2d_reference(x, w, seed, stride, padding):
     """Direct nested-loop cross-correlation, plus the gradients of
@@ -182,7 +208,7 @@ class TestConvReference:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hw", [(5, 7), (6, 4)])
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_reference(self, k, stride, padding, hw, dtype):
@@ -429,6 +455,43 @@ class TestForwardValues:
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
         ad.relu(x).backward(np.ones(3))
         np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, 1.0]))
+
+    @staticmethod
+    def _assert_bitwise_equal(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_nan_and_signed_zeros_match_where(self, dtype):
+        x = np.array([np.nan, -np.nan, -0.0, 0.0, -1.0, 2.0, np.inf, -np.inf], dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = ad.relu(xt)
+        self._assert_bitwise_equal(out.data, np.where(x > 0, x, 0))
+        flow = np.full(x.shape, 3.0, dtype)
+        out.backward(flow)
+        self._assert_bitwise_equal(xt.grad, flow * (x > 0))
+        np.testing.assert_array_equal(xt.grad, [0, 0, 0, 0, 0, 3, 3, 0])
+
+    @pytest.mark.parametrize(
+        "dtype_a, dtype_b",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    )
+    def test_maximum_nan_signed_zeros_and_ties_match_where(self, dtype_a, dtype_b):
+        nan = np.nan
+        a = np.array([nan, 1.0, nan, 0.0, -0.0, 2.0, -0.0, 0.0, -1.0], dtype_a)
+        b = np.array([1.0, nan, nan, -0.0, 0.0, 2.0, -0.0, 0.0, 3.0], dtype_b)
+        at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = ad.maximum(at, bt)
+        take_a = a >= b
+        self._assert_bitwise_equal(out.data, np.where(take_a, a, b))
+        # a wins ties, so +0 vs -0 keeps a's sign; any NaN operand gives b
+        assert list(np.signbit(out.data[3:5])) == [False, True]
+        assert out.data[0] == 1.0 and np.isnan(out.data[1]) and np.isnan(out.data[2])
+        flow = np.arange(1.0, 10.0)
+        out.backward(flow)
+        np.testing.assert_array_equal(at.grad, flow * take_a)
+        np.testing.assert_array_equal(bt.grad, flow * ~take_a)
+        np.testing.assert_array_equal(take_a, [0, 0, 0, 1, 1, 1, 1, 1, 0])
 
     def test_sigmoid_extreme_inputs_stable(self):
         out = ad.sigmoid(Tensor(np.array([-800.0, 800.0])))

@@ -240,6 +240,25 @@ class FeatureDataset:
     nan_counts: dict[str, int]
 
 
+def validate_training_data(x: np.ndarray, y: np.ndarray):
+    """Check the (n, d) features and (n,) labels that a pixel classifier
+    fits on: aligned, non-empty, finite features and 0/1 labels of both
+    classes. Raises DataError, or FitError for a single-class set."""
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise DataError(f"features {x.shape} and labels {y.shape} do not align")
+    if x.shape[0] == 0:
+        raise DataError("empty training set")
+    if not np.isfinite(x).all():
+        raise DataError("non-finite feature values")
+    classes = np.unique(y)
+    if classes.size < 2:
+        raise FitError(
+            f"single-class training set (label {classes[0]!r}): model would be degenerate"
+        )
+    if not np.isin(classes, (0, 1)).all():
+        raise DataError(f"labels must be 0/1, got {classes.tolist()}")
+
+
 def feature_cube(schema: FeatureSchema, sample: BitemporalSample) -> np.ndarray:
     """The (d, H, W) float32 feature stack of one sample, NaN where a formula
     is undefined; each raw index plane is evaluated once (``IndexPlanes``)."""

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FitError
+from .features import validate_training_data
 from .modelio import load_model, meta_int, save_model
 from .seeding import rng_for
 
@@ -46,22 +47,6 @@ class RandomForestModel:
     feature_importances: np.ndarray
 
 
-def _validate_training_data(x: np.ndarray, y: np.ndarray):
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise DataError(f"features {x.shape} and labels {y.shape} do not align")
-    if x.shape[0] == 0:
-        raise DataError("empty training set")
-    if not np.isfinite(x).all():
-        raise DataError("non-finite feature values")
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise FitError(
-            f"single-class training set (label {classes[0]!r}): model would be degenerate"
-        )
-    if not np.isin(classes, (0, 1)).all():
-        raise DataError(f"labels must be 0/1, got {classes.tolist()}")
-
-
 def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int, parent_gini: float):
     """Best (decrease, column, threshold) over the candidate columns of xs,
     or None. Ties keep the first candidate column, then the smallest left
@@ -81,9 +66,14 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int, parent_gini: floa
         pr = (cum[-1] + ys[order[-1]] - cum) / sizes_r
         weighted = (sizes_l * 2.0 * pl * (1.0 - pl) + sizes_r * 2.0 * pr * (1.0 - pr)) / n
         decrease = np.where(valid, parent_gini - weighted, -np.inf)
+        # decrease[i] scores left = the first i + 1 sorted rows, so the
+        # threshold lies between vs[i] and vs[i + 1]; where the midpoint
+        # rounds up onto vs[i + 1] (adjacent floats, or overflow), vs[i]
+        # still sends exactly those rows left.
         i = int(np.argmax(decrease))
         if best is None or decrease[i] > best[0]:
-            best = (float(decrease[i]), j, float((vs[i - 1] + vs[i]) / 2.0))
+            thr = (vs[i] + vs[i + 1]) / 2.0
+            best = (float(decrease[i]), j, float(thr if thr < vs[i + 1] else vs[i]))
     return best
 
 
@@ -154,7 +144,7 @@ def rf_fit(
 ) -> RandomForestModel:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    _validate_training_data(x, y)
+    validate_training_data(x, y)
     if n_trees < 1 or max_depth < 1 or min_leaf < 1:
         raise FitError(
             f"hyperparameters must be positive: trees={n_trees} depth={max_depth} leaf={min_leaf}"

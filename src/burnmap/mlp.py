@@ -10,7 +10,10 @@ over the ``nn.Linear`` parameter arrays, written out for this one layer
 stack; they run the same numpy operations in the same order as the graph's
 closures (the sigmoid and BCE formulas are autodiff's own plain-array
 helpers), so weights and loss traces are bit for bit those of the graph.
-``nn.Adam`` then updates all parameters as one flat buffer.
+Each layer adds its bias, rectifies and masks its flow in place on the
+fresh matmul output. ``nn.Adam`` owns the parameters: they are views of
+its one flat buffer, which each step updates in place and which the
+finiteness check after the step reads once.
 
 Inputs are standardized per feature (training-set mean and deviation,
 stored with the model): raw spectral features span several orders of
@@ -26,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .errors import ConfigError, DataError, DivergenceError, FitError
+from .errors import ConfigError, DataError, DivergenceError
+from .features import validate_training_data
 from .modelio import load_model, meta_ints, save_model
 from .seeding import rng_for
 
@@ -34,10 +38,6 @@ HIDDEN_WIDTHS = (128, 64)
 LEARNING_RATE = 0.001
 BATCH_SIZE = 32
 EPOCHS = 50
-
-
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, 0)
 
 
 @dataclass
@@ -59,9 +59,13 @@ class MlpModel:
         *hidden, head = self.layers
         for layer in hidden:
             yield x
-            x = _relu(x @ layer.weight.data + layer.bias.data)
+            x = x @ layer.weight.data
+            x += layer.bias.data
+            np.fmax(x, 0, out=x)  # a NaN rectifies to 0, as in autodiff.relu
         yield x
-        yield ad.sigmoid_forward(x @ head.weight.data + head.bias.data)
+        z = x @ head.weight.data
+        z += head.bias.data
+        yield ad.sigmoid_forward(z)
 
     def _backward(self, flow: np.ndarray, inputs: list[np.ndarray]):
         """Set every parameter's grad from the flow into the head's logit,
@@ -72,7 +76,8 @@ class MlpModel:
             layer.weight.grad = inputs[i].T @ flow
             if i:
                 # a rectified input is positive exactly where its pre-activation was
-                flow = (flow @ layer.weight.data.T) * (inputs[i] > 0)
+                flow = flow @ layer.weight.data.T
+                flow *= inputs[i] > 0
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         if self.offset is None:
@@ -111,16 +116,9 @@ def mlp_fit(
 ) -> MlpModel:
     x = np.asarray(x, dtype=np.float32)
     y = np.asarray(y)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise DataError(f"features {x.shape} and labels {y.shape} do not align")
-    if x.shape[0] == 0:
-        raise DataError("empty training set")
-    if not np.isfinite(x).all():
-        raise DataError("non-finite feature values")
+    validate_training_data(x, y)
     if epochs < 0 or batch_size < 1:
         raise ConfigError(f"epochs={epochs}, batch_size={batch_size} out of range")
-    if np.unique(y).size < 2:
-        raise FitError("single-class training set: model would be degenerate")
 
     model = build_mlp(x.shape[1], widths=widths, seed=seed)
     model.offset = x.mean(axis=0)
@@ -129,7 +127,7 @@ def mlp_fit(
     x = model.normalize(x)
     targets = y.astype(np.float32).reshape(-1, 1)
     optimizer = nn.Adam(model.layers.parameters(), lr=learning_rate)
-    named = list(model.layers.named_parameters())
+    named = [(name, p.data) for name, p in model.layers.named_parameters()]
     shuffle = rng_for(seed, "mlp/shuffle")
     n = x.shape[0]
     for epoch in range(epochs):
@@ -140,7 +138,10 @@ def mlp_fit(
             batch_losses.append(_batch_gradients(model, x[rows], targets[rows], epoch))
             optimizer.step()
             # An overflowing step leaves the loss finite until the next batch.
-            nn.check_finite(((name, p.data) for name, p in named), epoch)
+            # One pass over the optimizer's flat buffer; the walk only names
+            # the parameter.
+            if not np.isfinite(optimizer.data).all():
+                nn.check_finite(named, epoch)
         model.loss_trace.append(float(np.mean(batch_losses)))
     return model
 

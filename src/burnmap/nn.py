@@ -78,8 +78,9 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Copy arrays back into parameters and buffers; names and shapes
-        must match exactly."""
+        """Copy arrays into parameters and buffers in place; names and
+        shapes must match exactly. Writing into the existing arrays keeps a
+        model whose parameters an ``Adam`` owns bound to that optimizer."""
         expected = dict(self.named_parameters())
         buffers = dict(self.named_buffers())
         missing = (set(expected) | set(buffers)) - set(state)
@@ -94,12 +95,12 @@ class Module:
                 raise ConfigError(
                     f"parameter {name}: shape {arr.shape} != {p.data.shape}"
                 )
-            p.data = arr.astype(p.data.dtype, copy=True)
+            p.data[...] = arr
         for name, b in buffers.items():
             arr = state[name]
             if arr.shape != b.shape:
                 raise ConfigError(f"buffer {name}: shape {arr.shape} != {b.shape}")
-            b[...] = arr.astype(b.dtype, copy=False)
+            b[...] = arr
 
     def zero_grad(self):
         for p in self.parameters():
@@ -201,18 +202,23 @@ class Linear(Module):
 
 class Adam:
     """Adaptive-moment gradient descent with bias correction (Kingma & Ba,
-    ICLR 2015).
+    ICLR 2015) that owns its parameters' storage.
 
-    The first and second moments of every parameter live in two flat
-    buffers, in parameter order. A step concatenates the gradients into one
-    flat array and runs each elementwise pass of the update once over it,
-    in place with one scratch array (neither outlives the step); only the
-    final subtraction touches each parameter. A
-    parameter whose ``grad`` is None is skipped, so each maximal run of
-    consecutive parameters that have a gradient is updated as one slice.
-    Every pass is elementwise, so the result is bit for bit that of
-    updating the parameters one at a time. All parameters must share one
-    dtype; gradients are stored in it.
+    Building the optimizer copies every parameter, in order, into one flat
+    buffer, ``data``, and rebinds each ``p.data`` to a view of its slice;
+    the first and second moments, a gradient buffer and a scratch buffer
+    share that layout and live as long as the optimizer.
+    Whatever changes a parameter afterwards must write into ``p.data`` in
+    place, as ``Module.load_state_dict`` does: ``step`` raises RuntimeError
+    if a parameter's storage was replaced.
+
+    A step copies the gradients into the gradient buffer and runs each
+    elementwise pass of the update once, in place, over every maximal run
+    of consecutive parameters that have a gradient, ending with one
+    in-place subtraction from that run of ``data``. A parameter whose
+    ``grad`` is None is skipped. Every pass is elementwise, so the result
+    is bit for bit that of updating the parameters one at a time. All
+    parameters must share one dtype; gradients are cast to it.
     """
 
     def __init__(
@@ -231,30 +237,48 @@ class Adam:
             raise ConfigError(f"parameters of mixed dtypes {dtypes} in one optimizer")
         self.lr, self.beta1, self.beta2, self.eps = map(float, (lr, beta1, beta2, eps))
         self.t = 0
-        self._offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
-        size, dtype = self._offsets[-1], dtypes[0] if dtypes else np.float32
+        offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
+        size, dtype = offsets[-1], dtypes[0] if dtypes else np.float32
+        self.data = np.empty(size, dtype)
         self._m = np.zeros(size, dtype)
         self._v = np.zeros(size, dtype)
+        self._g = np.empty(size, dtype)
+        self._tmp = np.empty(size, dtype)
+        # (parameter, its view of data, its view of the gradient buffer, offset)
+        self._slots = []
+        for p, lo, hi in zip(self.params, offsets, offsets[1:]):
+            view = self.data[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._slots.append((p, view, self._g[lo:hi].reshape(view.shape), lo))
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        has_grad = [p.grad is not None for p in self.params]
-        for present, run in itertools.groupby(range(len(self.params)), has_grad.__getitem__):
-            if present:
-                run = list(run)
-                self._update(run[0], run[-1] + 1, bc1, bc2)
+        run = None  # offset where the current run of parameters with gradients began
+        for p, view, grad, lo in self._slots:
+            if p.data is not view:
+                raise RuntimeError(
+                    "a parameter's storage was replaced after its optimizer was built; "
+                    "write into p.data in place"
+                )
+            if p.grad is None:
+                if run is not None:
+                    self._update(run, lo, bc1, bc2)
+                    run = None
+                continue
+            if p.grad.shape != view.shape:
+                raise ShapeError(f"gradient shape {p.grad.shape} != parameter {view.shape}")
+            grad[...] = p.grad
+            if run is None:
+                run = lo
+        if run is not None:
+            self._update(run, self.data.size, bc1, bc2)
 
-    def _update(self, first: int, stop: int, bc1: float, bc2: float):
-        """One Adam update of parameters first..stop-1, which all have gradients."""
-        params, bounds = self.params[first:stop], self._offsets[first : stop + 1]
-        for p in params:
-            if p.grad.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {p.grad.shape} != parameter {p.data.shape}")
-        m, v = self._m[bounds[0] : bounds[-1]], self._v[bounds[0] : bounds[-1]]
-        g = np.concatenate([p.grad.reshape(-1) for p in params], dtype=m.dtype)
-        tmp = np.empty_like(g)
+    def _update(self, lo: int, hi: int, bc1: float, bc2: float):
+        """One Adam update of data[lo:hi] from the gradient buffer's slice."""
+        m, v, g, tmp = self._m[lo:hi], self._v[lo:hi], self._g[lo:hi], self._tmp[lo:hi]
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=tmp)
         m += tmp
@@ -269,8 +293,7 @@ class Adam:
         np.divide(m, bc1, out=g)
         g *= self.lr
         g /= tmp
-        for p, lo, hi in zip(params, bounds, bounds[1:]):
-            p.data = p.data - g[lo - bounds[0] : hi - bounds[0]].reshape(p.data.shape)
+        self.data[lo:hi] -= g
 
 
 def check_finite(named_arrays, epoch: int):

@@ -15,8 +15,11 @@ from cluster_data import best_stump_accuracy, separable_clusters, xor_data
 
 from burnmap.errors import DataError, FitError, FormatError
 from burnmap.forest import (
+    MAX_DEPTH,
     DecisionTree,
     RandomForestModel,
+    _best_split,
+    _grow_tree,
     load_forest,
     rf_fit,
     rf_predict,
@@ -26,7 +29,7 @@ from burnmap.metrics import accumulate, compute_metrics
 from burnmap.modelio import pack_blocks
 
 
-def walk_tree(tree: DecisionTree, vec: np.ndarray) -> float:
+def leaf_of(tree: DecisionTree, vec: np.ndarray) -> int:
     """Scalar reference: follow one path from root to leaf."""
     node = 0
     while tree.feature[node] >= 0:
@@ -34,7 +37,16 @@ def walk_tree(tree: DecisionTree, vec: np.ndarray) -> float:
             node = int(tree.left[node])
         else:
             node = int(tree.right[node])
-    return float(tree.value[node])
+    return node
+
+
+def walk_tree(tree: DecisionTree, vec: np.ndarray) -> float:
+    return float(tree.value[leaf_of(tree, vec)])
+
+
+def gini(y: np.ndarray) -> float:
+    p = y.mean()
+    return 2.0 * p * (1.0 - p)
 
 
 def tree_depth(tree: DecisionTree, node: int = 0) -> int:
@@ -211,6 +223,54 @@ class TestFitBehaviour:
         permuted = rf_fit(x[:, perm], y, seed=39, n_trees=60).feature_importances
         np.testing.assert_allclose(permuted, base[perm], atol=0.06)
         assert {0, 2} == {int(np.argsort(base)[-1]), int(np.argsort(base)[-2])}
+
+
+class TestSplitSearch:
+    def test_threshold_lies_between_the_scored_blocks(self):
+        xs = np.array([[0.0], [1.0], [2.0], [3.0]])
+        ys = np.array([0, 0, 1, 1])
+        assert _best_split(xs, ys, min_leaf=1, parent_gini=0.5) == (0.5, 0, 1.5)
+
+    def test_adjacent_values_split_between_them(self):
+        # lo has an odd last mantissa bit, so the midpoint rounds up onto hi.
+        lo = float(np.nextafter(1.0, 2.0))
+        hi = float(np.nextafter(lo, 2.0))
+        assert (lo + hi) / 2.0 == hi
+        xs = np.array([[lo], [lo], [hi], [hi]])
+        decrease, _, thr = _best_split(xs, np.array([0, 0, 1, 1]), 1, 0.5)
+        assert decrease == 0.5 and lo <= thr < hi
+
+    def test_applied_split_is_the_scored_split(self):
+        # Few distinct values give many ties; the rows the threshold sends
+        # left must be exactly the block whose decrease was scored.
+        rng = np.random.default_rng(42)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(4, 40))
+            xs = rng.integers(0, 6, (n, 3)).astype(np.float64)
+            ys = rng.integers(0, 2, n)
+            min_leaf = int(rng.integers(1, 5))
+            split = _best_split(xs, ys, min_leaf, gini(ys))
+            if split is None:
+                continue
+            decrease, col, thr = split
+            left = xs[:, col] <= thr
+            assert min(left.sum(), (~left).sum()) >= min_leaf
+            weighted = (left.sum() * gini(ys[left]) + (~left).sum() * gini(ys[~left])) / n
+            assert decrease == pytest.approx(gini(ys) - weighted, abs=1e-12)
+            checked += 1
+        assert checked > 100
+
+    def test_every_leaf_holds_min_leaf_rows(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((300, 5))
+        y = (x[:, 0] + rng.standard_normal(300) > 0).astype(np.int64)
+        for _ in range(20):
+            rows = rng.integers(0, 300, size=300)
+            xb, yb = x[rows], y[rows]
+            tree = _grow_tree(xb, yb, rng, MAX_DEPTH, 5, 300, np.zeros(5))
+            counts = np.bincount([leaf_of(tree, v) for v in xb], minlength=tree.feature.size)
+            assert counts[tree.feature < 0].min() >= 5
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ from cluster_data import separable_clusters
 from grad_check import numeric_grad, relative_error
 
 from burnmap import autodiff as ad
+from burnmap import nn
 from burnmap.autodiff import Tensor
 from burnmap.errors import ConfigError, DataError, DivergenceError, FitError
 from burnmap.metrics import accumulate, compute_metrics
@@ -129,6 +130,20 @@ class TestTraining:
                 )
         assert err.value.epoch == 0
 
+    def test_non_finite_bias_is_named(self, monkeypatch):
+        # Poison only the last bias after the first step: the one-pass check
+        # of the optimizer's flat buffer must still name that parameter.
+        real_step = nn.Adam.step
+
+        def poisoning_step(self):
+            real_step(self)
+            self.params[-1].data[0] = np.nan
+
+        monkeypatch.setattr(nn.Adam, "step", poisoning_step)
+        x, y = separable_clusters(seed=44, n=40)
+        with pytest.raises(DivergenceError, match=r"1\.bias .*epoch 0"):
+            mlp_fit(x, y, seed=45, widths=(2, 4, 1), epochs=1)
+
     def test_standardization_matches_training_moments(self):
         x, y = separable_clusters(seed=21, n=60)
         x = x.astype(np.float32)
@@ -161,6 +176,18 @@ class TestTraining:
     def test_single_class_rejected(self):
         with pytest.raises(FitError, match="single-class"):
             mlp_fit(np.zeros((6, 2)), np.ones(6, dtype=np.uint8), seed=22)
+
+    def test_labels_outside_zero_one_rejected(self):
+        x, _ = separable_clusters(seed=40, n=20)
+        with pytest.raises(DataError, match="0/1"):
+            mlp_fit(x, np.tile([0, 2], 10), seed=41, epochs=1)
+
+    def test_nan_label_is_a_data_error(self):
+        x, _ = separable_clusters(seed=42, n=20)
+        y = np.tile([0.0, 1.0], 10)
+        y[3] = np.nan
+        with pytest.raises(DataError, match="0/1"):
+            mlp_fit(x, y, seed=43, epochs=1)
 
     def test_non_finite_features_rejected(self):
         x = np.zeros((4, 2), dtype=np.float32)

@@ -229,3 +229,56 @@ class TestAdam:
             opt.step()
             last = float(out.data)
         assert last < 0.5 * first
+
+
+class TestAdamOwnsStorage:
+    def test_parameters_are_views_of_one_buffer(self):
+        rng = np.random.default_rng(50)
+        shapes = [(3, 4), (4,), ()]
+        params = [nn.Parameter(rng.standard_normal(s).astype(np.float32)) for s in shapes]
+        values = [p.data.copy() for p in params]
+        opt = nn.Adam(params, lr=0.1)
+        assert opt.data.size == 17
+        for p, value in zip(params, values):
+            assert p.data.base is opt.data and np.array_equal(p.data, value)
+        arrays = [p.data for p in params]
+        for _ in range(3):
+            for p in params:
+                p.grad = np.ones_like(p.data)
+            opt.step()
+        assert all(p.data is a for p, a in zip(params, arrays))
+        assert not any(np.array_equal(p.data, value) for p, value in zip(params, values))
+
+    def test_replaced_storage_raises(self):
+        p = nn.Parameter(np.ones(3, dtype=np.float32))
+        opt = nn.Adam([p])
+        p.data = np.zeros(3, dtype=np.float32)
+        p.grad = np.ones(3, dtype=np.float32)
+        with pytest.raises(RuntimeError, match="replaced"):
+            opt.step()
+
+    def test_load_state_dict_keeps_the_model_bound(self):
+        # Loading after the optimizer is built must leave the same steps
+        # moving the model as loading before building it.
+        rng = np.random.default_rng(51)
+        state = nn.Linear(3, 2, rng).state_dict()
+        grads = [rng.standard_normal(s).astype(np.float32) for s in [(3, 2), (2,)]]
+
+        def trained(load_first):
+            layer = nn.Linear(3, 2, np.random.default_rng(52))
+            if load_first:
+                layer.load_state_dict(state)
+            opt = nn.Adam(layer.parameters(), lr=0.05)
+            if not load_first:
+                layer.load_state_dict(state)
+            for _ in range(4):
+                for p, g in zip(layer.parameters(), grads):
+                    p.grad = g
+                opt.step()
+            assert all(np.shares_memory(p.data, opt.data) for p in layer.parameters())
+            return layer.state_dict()
+
+        after, before = trained(load_first=False), trained(load_first=True)
+        for name in state:
+            assert not np.array_equal(after[name], state[name])
+            assert np.array_equal(after[name], before[name])

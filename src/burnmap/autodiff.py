@@ -24,9 +24,13 @@ changed in place between forward and backward would give wrong gradients.
 Convolution, the hot path of training, is shift-and-accumulate rather than
 im2col: ``conv2d`` pads its input into a channels-last buffer and runs each
 kernel tap as a 1x1 GEMM over a shifted block of that buffer, so no
-kh*kw-times column matrix is built. The padded buffer is not kept for
-backward: the kernel gradient rebuilds it from the input's ``data`` (see
-``conv2d``).
+kh*kw-times column matrix is built. At stride 1 the forward and the input
+gradient run those GEMMs chunk by chunk of about a thousand rows, all taps
+per chunk, so each chunk stays in cache. The chunks avoid one-row GEMMs
+and transposed operands, which round differently, so that the network's
+layers give the bits of one full-height GEMM per tap. The padded buffer is
+not kept for backward: the kernel gradient rebuilds it from the input's
+``data`` (see ``conv2d``).
 
 Batch norm is one fused node: ``batchnorm`` optionally adds a ``shortcut``
 tensor and rectifies (``relu=True``) in place on its one output array, so
@@ -316,13 +320,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid_forward(v: np.ndarray) -> np.ndarray:
-    """Logistic of a plain array, split by sign so that no exp overflows."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """Logistic of a plain array, without masks: e = exp(-|v|) never
+    overflows, and the result is 1/(1+e) where v >= 0 and e/(1+e)
+    elsewhere. A NaN gives a NaN."""
+    e = np.exp(-np.abs(v))
+    d = 1 + e
+    np.copyto(e, 1, where=v >= 0)
+    return np.divide(e, d, out=e)
 
 
 def sigmoid_backward(flow: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -360,6 +364,21 @@ def _pad_channels_last(x: np.ndarray, padding: int, dt) -> np.ndarray:
     return xp
 
 
+_CHUNK_ROWS = 1024  # rows of one stride-1 block: its input, output and partial sum fit in L2
+
+
+def _row_chunks(m: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of about ``_CHUNK_ROWS`` rows that cover [0, m).
+
+    Each starts at a multiple of ``_CHUNK_ROWS``, and a one-row tail joins
+    the chunk before it, so no chunk has exactly one row unless m is 1.
+    """
+    bounds = list(range(0, m, _CHUNK_ROWS)) + [m]
+    if len(bounds) > 2 and m - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with (F,C,kh,kw) kernels, zero padded.
 
@@ -373,15 +392,35 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     work. At stride 2 each tap's strided slice of ``xp`` is copied; it is a
     quarter of the input.
 
+    At stride 1 the loops are cache-blocked (Goto & van de Geijn, 2008).
+    The output rows are cut into chunks of ``_CHUNK_ROWS`` (see
+    ``_row_chunks``), and each chunk runs all kh*kw taps, each GEMM into a
+    chunk-sized partial sum that is then added in, while the chunk's input
+    rows are still in L2. The input gradient is blocked the same way in
+    gather form (see ``_gather_input_grad``). Every row gets the same
+    products, added in the same order, as under one full-height GEMM per
+    tap. OpenBLAS computes a GEMM row against a C-contiguous right operand
+    the same way whatever the row count, with two exceptions that the loops
+    avoid. A one-row GEMM takes the matrix-vector path and rounds
+    differently, so no chunk and no gathered piece has one row. A transposed
+    right operand (``tap.T``) rounds differently at small row counts, so the
+    gather multiplies a part of a tap by a C-contiguous (kh,kw,F,C) copy of
+    the taps. With OpenBLAS 0.3.31 on an AVX-512 CPU, every float32 layer
+    shape of the network gives the unblocked loop's bits. Where OpenBLAS
+    picks another kernel for the full-height product than for a chunk, the
+    last bit can differ: seen with 32 or more kernels over a few channels,
+    with some float64 channel counts, and with one input channel. Stride 2
+    and the kernel gradient run as one GEMM per tap over all rows.
+
     ``xp`` is freed before the node is returned: the closure keeps the
     input and kernel tensors, the per-tap weights and shape scalars, and no
     input-sized buffer of its own. Backward scatters the output gradient
     into the same grid. If the kernel needs a gradient, it rebuilds ``xp``
     from ``x.data``, takes each tap's kernel gradient as block.T @ grad, and
-    frees ``xp`` again; the input gradient then adds grad @ tap.T into each
-    tap's block of a zeroed padded buffer. The rebuilt ``xp`` equals the
-    forward one, and so do the GEMMs it feeds, only because ``x.data`` is
-    never mutated between forward and backward (the module convention).
+    frees ``xp`` again; the input gradient then accumulates grad @ tap.T
+    into a zeroed padded buffer. The rebuilt ``xp`` equals the forward one,
+    and so do the GEMMs it feeds, only because ``x.data`` is never mutated
+    between forward and backward (the module convention).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -407,29 +446,33 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # every output pixel, and each tap's row range stays inside xp.
         m = n * hp * wp - (kh - 1) * wp - (kw - 1)
         grid_shape = (n, hp, wp, f)
+        chunks = _row_chunks(m)
 
-        def window(buf, i, j):
+        def block(buf, i, j, lo=0, hi=m):  # rows [lo, hi) of tap (i, j): a view
             off = i * wp + j
-            return buf.reshape(-1, buf.shape[-1])[off : off + m]
+            return buf.reshape(-1, c)[lo + off : hi + off]
 
     else:
         m = n * ho * wo
         grid_shape = (n, ho, wo, f)
+        chunks = [(0, m)]
 
         def window(buf, i, j):
             return buf[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
 
-    def block(buf, i, j):  # (m, C); a copy only at stride 2
-        return window(buf, i, j).reshape(m, c)
+        def block(buf, i, j, lo=0, hi=m):  # all m rows of tap (i, j): a copy
+            return window(buf, i, j).reshape(m, c)
 
     xp = _pad_channels_last(x.data, padding, dt)
-    grid = np.zeros(grid_shape, dt)
-    acc = grid.reshape(-1, f)[:m]
-    part = np.empty((m, f), dt)
-    for k, (i, j) in enumerate(offsets):
-        np.matmul(block(xp, i, j), taps[i, j], out=part if k else acc)
-        if k:
-            acc += part
+    grid = np.empty(grid_shape, dt)  # rows past m are never read
+    acc = grid.reshape(-1, f)
+    part = np.empty((max(hi - lo for lo, hi in chunks), f), dt)
+    for lo, hi in chunks:
+        for k, (i, j) in enumerate(offsets):
+            out = acc[lo:hi] if k == 0 else part[: hi - lo]
+            np.matmul(block(xp, i, j, lo, hi), taps[i, j], out=out)
+            if k:
+                acc[lo:hi] += out
     del xp
     data = np.ascontiguousarray(grid[:, :ho, :wo].transpose(0, 3, 1, 2))
 
@@ -447,16 +490,51 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             out.append((w, np.ascontiguousarray(dtaps.transpose(3, 2, 0, 1))))
         if x.requires_grad:
             dxp = np.zeros((n, hp, wp, c), dt)
-            part = np.empty((m, c), dt)
-            for i, j in offsets:
-                np.matmul(g, taps[i, j].T, out=part)
-                view = window(dxp, i, j)
-                view += part.reshape(view.shape)
+            if stride == 1:
+                _gather_input_grad(dxp.reshape(-1, c), g, taps, wp)
+            else:
+                part = np.empty((m, c), dt)
+                for i, j in offsets:
+                    np.matmul(g, taps[i, j].T, out=part)
+                    view = window(dxp, i, j)
+                    view += part.reshape(view.shape)
             dx = dxp[:, padding : padding + h, padding : padding + width]
             out.append((x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2))))
         return out
 
     return _make(data, (x, w), backward)
+
+
+def _gather_input_grad(dxp: np.ndarray, g: np.ndarray, taps: np.ndarray, wp: int):
+    """Add the stride-1 input gradient into the zeroed padded rows ``dxp``.
+
+    Row r of ``dxp`` takes g[r - off] @ tap.T from every tap whose row shift
+    ``off`` keeps r - off in [0, m). Chunk by chunk of ``dxp``, the taps are
+    added in order, as one full-height GEMM per tap would add them. A tap
+    whose rows all fall in one chunk runs as that GEMM, on the ``tap.T``
+    view. A part of a tap multiplies by the C-contiguous copy of ``tap.T``,
+    whose rows match the full-height GEMM's; a one-row part is computed
+    with a neighbouring row, so it is not a matrix-vector product.
+    """
+    kh, kw, c, f = taps.shape
+    taps_t = np.ascontiguousarray(taps.transpose(0, 1, 3, 2))  # (kh,kw,F,C)
+    m = len(g)
+    chunks = _row_chunks(len(dxp))
+    part = np.empty((max(hi - lo for lo, hi in chunks), c), dxp.dtype)
+    for lo, hi in chunks:
+        for i, j in itertools.product(range(kh), range(kw)):
+            off = i * wp + j
+            a, b = max(lo, off), min(hi, off + m)  # the dxp rows this tap reaches
+            if a >= b:
+                continue
+            if b - a == m:
+                s = 0
+                np.matmul(g, taps[i, j].T, out=part[:m])
+            else:
+                s = a - off if b - a > 1 else min(a - off, m - 2)
+                e = max(b - off, s + 2)
+                np.matmul(g[s:e], taps_t[i, j], out=part[: e - s])
+            dxp[a:b] += part[a - off - s : b - off - s]
 
 
 # ---------------------------------------------------------------- batch norm

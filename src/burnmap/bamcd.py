@@ -389,6 +389,7 @@ def train(
     v_pre, v_post, v_truth = stack_samples(val_samples, config)
     loss_fn = _loss_fn(config)
     optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
+    buffers = [b for _, b in model.named_buffers()]
     shuffle = rng_for(config.seed, "train/shuffle")
     n = x_pre.shape[0]
     trace: list[EpochStats] = []
@@ -409,7 +410,11 @@ def train(
             model.zero_grad()
             loss.backward()
             optimizer.step()
-            _check_finite_state(model, epoch)
+            # One pass over the optimizer's flat buffer and the batch-norm
+            # statistics; the walk only names the culprit.
+            finite = np.isfinite(optimizer.data).all()
+            if not (finite and all(np.isfinite(b).all() for b in buffers)):
+                _check_finite_state(model, epoch)
             batch_losses.append(float(loss.data))
         f1 = validation_f1(model, v_pre, v_post, v_truth, config.batch_size)
         trace.append(EpochStats(epoch, float(np.mean(batch_losses)), f1))

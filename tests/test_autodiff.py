@@ -157,7 +157,8 @@ class TestConvGradients:
 
 
 class TestConvMemory:
-    """The forward node keeps no input-sized buffer for its backward pass."""
+    """The forward node keeps no input-sized buffer for its backward pass,
+    and a stride-1 forward needs only chunk-sized scratch."""
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_keeps_no_padded_copy(self, stride):
@@ -173,6 +174,24 @@ class TestConvMemory:
         assert held - out.data.nbytes < x.data.nbytes / 8
         out.backward(np.ones_like(out.data))
         assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
+
+    def test_stride1_forward_peak_is_chunk_sized(self):
+        """Besides the padded input and the padded output grid, which live
+        together, and then the grid and the output, a stride-1 forward holds
+        only chunk-sized scratch. One partial sum over all rows (2.2 MB
+        here) is far over the bound."""
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.standard_normal((8, 16, 64, 64), dtype=np.float32))
+        w = Tensor(rng.standard_normal((16, 16, 3, 3), dtype=np.float32))
+        padded = 8 * 66 * 66 * 16 * 4  # the (N,Hp,Wp,C) input and the (N,Hp,Wp,F) grid
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = peak - padded - max(padded, out.data.nbytes)
+        assert scratch < 4 * ad._CHUNK_ROWS * 16 * 4
 
 
 def conv2d_reference(x, w, seed, stride, padding):
@@ -226,6 +245,142 @@ class TestConvReference:
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
+
+
+def conv2d_unblocked(x, w, seed, padding):
+    """Stride-1 shift-and-accumulate with one full-height GEMM per tap and
+    no row chunks. Returns the output and the input and kernel gradients of
+    sum(out * seed), in the dtype of x."""
+    n, c, h, width = x.shape
+    f, _, kh, kw = w.shape
+    hp, wp = h + 2 * padding, width + 2 * padding
+    ho, wo = hp - kh + 1, wp - kw + 1
+    m = n * hp * wp - (kh - 1) * wp - (kw - 1)
+    shifts = [i * wp + j for i in range(kh) for j in range(kw)]
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(kh * kw, c, f)
+    xp = np.zeros((n, hp, wp, c), x.dtype)
+    xp[:, padding : padding + h, padding : padding + width] = x.transpose(0, 2, 3, 1)
+    rows = xp.reshape(-1, c)
+
+    grid = np.zeros((n, hp, wp, f), x.dtype)
+    acc = grid.reshape(-1, f)[:m]
+    part = np.empty((m, f), x.dtype)
+    for k, off in enumerate(shifts):
+        np.matmul(rows[off : off + m], taps[k], out=part if k else acc)
+        if k:
+            acc += part
+    out = np.ascontiguousarray(grid[:, :ho, :wo].transpose(0, 3, 1, 2))
+
+    g = np.zeros((n, hp, wp, f), x.dtype)
+    g[:, :ho, :wo] = seed.transpose(0, 2, 3, 1)
+    g = g.reshape(-1, f)[:m]
+    dtaps = np.empty((kh * kw, c, f), x.dtype)
+    dxp = np.zeros((n * hp * wp, c), x.dtype)
+    part = np.empty((m, c), x.dtype)
+    for k, off in enumerate(shifts):
+        np.matmul(rows[off : off + m].T, g, out=dtaps[k])
+        np.matmul(g, taps[k].T, out=part)
+        dxp[off : off + m] += part
+    dx = dxp.reshape(n, hp, wp, c)[:, padding : padding + h, padding : padding + width]
+    dw = dtaps.reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+    return out, dx.transpose(0, 3, 1, 2), dw
+
+
+def conv_piece_rows(n, h, width, k, padding):
+    """Row counts of the stride-1 forward chunks and of the input-gradient
+    gather pieces (one per chunk of padded rows and tap that meet)."""
+    hp, wp = h + 2 * padding, width + 2 * padding
+    m = n * hp * wp - (k - 1) * wp - (k - 1)
+    forward = [hi - lo for lo, hi in ad._row_chunks(m)]
+    shifts = [i * wp + j for i in range(k) for j in range(k)]
+    gather = [
+        min(hi, off + m) - max(lo, off)
+        for lo, hi in ad._row_chunks(n * hp * wp)
+        for off in shifts
+        if min(hi, off + m) > max(lo, off)
+    ]
+    return m, forward, gather
+
+
+class TestConvBlocking:
+    """Stride-1 conv2d runs its GEMMs over row chunks. The output and both
+    gradients equal, bit for bit, those of one full-height GEMM per tap.
+
+    Equality rests on OpenBLAS giving a row the same bits in a chunk as in
+    the full-height product. That holds for the network's float32 layers
+    and for the shapes used here; where OpenBLAS picks another kernel for
+    the full-height product, the last bit can differ (see
+    ``autodiff.conv2d``).
+    """
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        unsigned = f"u{got.itemsize}"
+        np.testing.assert_array_equal(got.view(unsigned), want.view(unsigned))
+
+    def _check(self, shape, f, k, padding, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((f, shape[1], k, k)).astype(dtype)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.conv2d(xt, wt, padding=padding)
+        grad = rng.standard_normal(out.data.shape).astype(dtype)
+        out.backward(grad)
+        want = conv2d_unblocked(x, w, grad, padding)
+        for got, expected in zip((out.data, xt.grad, wt.grad), want):
+            self._assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape, f",
+        [
+            ((2, 3, 34, 33), 4),  # three chunks, the last a short tail
+            ((1, 3, 5, 7), 4),  # batch 1, one chunk
+            ((1, 4, 3, 3), 2),  # batch 1; one output pixel at k=3, padding 0
+            ((3, 2, 26, 21), 1),  # one kernel: matrix-vector products
+        ],
+    )
+    def test_matches_unblocked(self, shape, f, k, padding, dtype):
+        self._check(shape, f, k, padding, dtype, seed=sum(shape) + 10 * k + padding)
+
+    @pytest.mark.parametrize(
+        "shape, f, k, padding",
+        [
+            ((2, 10, 64, 64), 16, 3, 1),
+            ((2, 16, 64, 64), 16, 3, 1),
+            ((2, 16, 64, 64), 1, 1, 0),
+            ((2, 64, 64, 64), 16, 3, 1),
+            ((2, 128, 32, 32), 32, 3, 1),
+            ((2, 384, 16, 16), 64, 3, 1),
+            ((2, 128, 8, 8), 128, 3, 1),
+        ],
+    )
+    def test_network_layers_match_unblocked(self, shape, f, k, padding):
+        self._check(shape, f, k, padding, np.float32, seed=f + shape[1])
+
+    @pytest.mark.parametrize(
+        "shape, f, k, dtype",
+        [
+            # the tap at shift 0 reaches one row of the second chunk
+            ((1, 3, 39, 27), 4, 2, np.float32),
+            ((1, 3, 39, 27), 4, 2, np.float64),
+            ((1, 3, 39, 27), 16, 2, np.float32),
+            ((1, 64, 39, 27), 64, 2, np.float32),
+            # m = 2049: the one-row tail joins the chunk before it
+            ((1, 2, 3, 683), 3, 1, np.float32),
+            ((1, 2, 3, 683), 3, 1, np.float64),
+            ((1, 2, 3, 683), 1, 1, np.float32),
+            ((1, 2, 3, 683), 1, 1, np.float64),
+        ],
+    )
+    def test_one_row_pieces_match_unblocked(self, shape, f, k, dtype):
+        m, forward, gather = conv_piece_rows(shape[0], shape[2], shape[3], k, 0)
+        assert 1 in gather or m % ad._CHUNK_ROWS == 1  # a one-row piece is avoided
+        assert 1 not in forward
+        self._check(shape, f, k, 0, dtype, seed=f)
 
 class TestNormalizationGradients:
     def test_batchnorm_training(self):
@@ -497,6 +652,28 @@ class TestForwardValues:
         out = ad.sigmoid(Tensor(np.array([-800.0, 800.0])))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_split_by_sign(self, dtype):
+        """Same bits as evaluating 1/(1+exp(-v)) on v >= 0 and
+        exp(v)/(1+exp(v)) on v < 0 separately, signed zeros and
+        infinities included."""
+        rng = np.random.default_rng(41)
+        specials = [0.0, -0.0, np.inf, -np.inf, 1e30, -1e30, 745.0, -745.0, 88.7, -88.7]
+        v = np.concatenate([rng.standard_normal(4000) * 40, specials]).astype(dtype)
+        want = np.empty_like(v)
+        pos = v >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        ev = np.exp(v[~pos])
+        want[~pos] = ev / (1.0 + ev)
+        self._assert_bitwise_equal(ad.sigmoid_forward(v), want)
+        self._assert_bitwise_equal(ad.sigmoid(Tensor(v)).data, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_nan_gives_nan(self, dtype):
+        out = ad.sigmoid_forward(np.array([np.nan, -np.nan, 0.0], dtype))
+        assert out.dtype == dtype
+        assert np.isnan(out[:2]).all() and out[2] == 0.5
 
     def test_global_avg_pool_is_mean(self):
         rng = np.random.default_rng(70)

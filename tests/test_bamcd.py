@@ -516,6 +516,21 @@ class TestTraining:
             train(build(config), samples, make_samples(2, 84), config)
         assert info.value.epoch == 0
 
+    def test_nan_running_variance_raises_divergence(self):
+        """Training-mode forwards never read the running statistics, so a NaN
+        running variance leaves every parameter finite; the per-step check
+        must read the batch-norm buffers as well as the optimizer's."""
+        model = build(TINY)
+        buffers = dict(model.named_buffers())
+        buffers["decoder.0.block.bn1.running_var"][1] = np.nan
+        config = replace(TINY, epochs=1)
+        with pytest.raises(
+            DivergenceError, match=r"decoder\.0\.block\.bn1\.running_var .*epoch 0"
+        ) as info:
+            train(model, make_samples(4, 85), make_samples(2, 86), config)
+        assert info.value.epoch == 0
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+
     def test_empty_split_rejected(self):
         model = build(TINY)
         with pytest.raises(DataError, match="train split"):

@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, DivergenceError
 from .metrics import MetricReport, accumulate, compute_metrics
 from .modelio import block_text, load_model, save_model, text_block
 from .rasters import ALL_BANDS, BandId, BitemporalSample, RasterPatch
-from .runconfig import get_float, get_int, get_int_tuple, get_str
+from .runconfig import format_fields, get_float, get_int, get_int_tuple, get_str, parse_fields
 from .seeding import rng_for
 
 SHARING_MODES = ("siamese", "pseudo_siamese")
@@ -85,7 +85,7 @@ class BamCdConfig:
             raise ConfigError(f"loss must be one of {tuple(ad.LOSSES)}, got {self.loss!r}")
         if self.optimizer != "adam":
             raise ConfigError(f"only the adam optimizer is implemented, got {self.optimizer!r}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN included
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError(
@@ -474,7 +474,7 @@ def _get_bands(config: dict[str, str], key: str) -> tuple[BandId, ...]:
 
 
 def _get_stem_width(config: dict[str, str], key: str) -> int | None:
-    return get_int(config, key) if config[key] else None
+    return get_int(config, key) if get_str(config, key) else None
 
 
 def _joined(values) -> str:
@@ -504,24 +504,11 @@ CONFIG_FIELDS = {
 
 
 def config_to_text(config: BamCdConfig) -> str:
-    return "".join(
-        f"{name}={fmt(getattr(config, name))}\n" for name, (_, fmt) in CONFIG_FIELDS.items()
-    )
+    return format_fields(config, CONFIG_FIELDS)
 
 
 def config_from_text(text: str) -> BamCdConfig:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ConfigError(f"malformed config line {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    missing = [name for name in CONFIG_FIELDS if name not in fields]
-    if missing:
-        raise ConfigError(f"config text missing key {missing[0]!r}")
-    return BamCdConfig(**{name: get(fields, name) for name, (get, _) in CONFIG_FIELDS.items()})
+    return BamCdConfig(**parse_fields(text, CONFIG_FIELDS))
 
 
 def save_bamcd(path: str | Path, model: BamCdModel):

@@ -37,6 +37,16 @@ def exit_code_for(exc: BaseException) -> int:
     raise exc
 
 
+# Commands that read a config: name -> (runs function, help, takes --repeats).
+RUN_COMMANDS = {
+    "synth": (runs.cmd_synth, "generate a synthetic patch dataset", False),
+    "ingest": (runs.cmd_ingest, "tile scene archives into a patch dataset", False),
+    "index-eval": (runs.cmd_index_eval, "fit and evaluate a delta-index threshold", False),
+    "ml-run": (runs.cmd_ml_run, "train and evaluate a pixel classifier", True),
+    "dl-run": (runs.cmd_dl_run, "train and evaluate the change-detection network", True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="burnmap",
@@ -44,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fit index/classical/network methods, and merge reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_run_command(name: str, help_text: str, repeats: bool):
+    for name, (_, help_text, repeats) in RUN_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None, help="key=value config file")
         p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -54,13 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--repeats", type=int, default=1, help="independent repeat count"
             )
-        return p
-
-    add_run_command("synth", "generate a synthetic patch dataset", repeats=False)
-    add_run_command("ingest", "tile scene archives into a patch dataset", repeats=False)
-    add_run_command("index-eval", "fit and evaluate a delta-index threshold", repeats=False)
-    add_run_command("ml-run", "train and evaluate a pixel classifier", repeats=True)
-    add_run_command("dl-run", "train and evaluate the change-detection network", repeats=True)
 
     p = sub.add_parser("report", help="merge run directories into one table")
     p.add_argument("run_dirs", nargs="+", type=Path, help="directories with metrics.csv")
@@ -70,25 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "report":
-        table = runs.cmd_report(args.run_dirs, args.out)
-        print(table, end="")
+        print(runs.cmd_report(args.run_dirs, args.out), end="")
         return EXIT_OK
-
+    run, _, repeats = RUN_COMMANDS[args.command]
     config = load_config(args.config) if args.config else {}
-    if args.command == "synth":
-        manifest = runs.cmd_synth(config, args.out, args.seed)
-        print(f"wrote {manifest}")
-    elif args.command == "ingest":
-        manifest = runs.cmd_ingest(config, args.out, args.seed)
-        print(f"wrote {manifest}")
-    elif args.command == "index-eval":
-        runs.cmd_index_eval(config, args.out, args.seed)
-        print((args.out / "report.txt").read_text(encoding="utf-8"), end="")
-    elif args.command == "ml-run":
-        runs.cmd_ml_run(config, args.out, args.seed, args.repeats)
-        print((args.out / "report.txt").read_text(encoding="utf-8"), end="")
-    elif args.command == "dl-run":
-        runs.cmd_dl_run(config, args.out, args.seed, args.repeats)
+    result = run(config, args.out, args.seed, *([args.repeats] if repeats else []))
+    if isinstance(result, Path):  # synth and ingest return the manifest they wrote
+        print(f"wrote {result}")
+    else:
         print((args.out / "report.txt").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 

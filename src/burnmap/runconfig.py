@@ -1,8 +1,12 @@
-"""Run-configuration files: flat ``key=value`` lines, ``#`` comments.
+"""Flat ``key=value`` text of run configs and of the records the package
+writes (checkpoint config, threshold model). No sections, no nesting, no
+quoting; ``#`` starts a comment. ``parse_config_text`` is the one parser.
 
-No sections, no nesting, no quoting — values are taken verbatim after the
-first ``=``. Each command declares its allowed keys and rejects anything
-else, so a typo never silently falls back to a default.
+Each consumer declares its keys once, in a table of key -> reader
+``read(config, key)`` (see ``reader``), which raises ConfigError naming the
+key when it is missing, does not parse or is out of range. A command's
+``read_fields`` rejects keys outside its table, so a typo never falls back to
+a default.
 """
 
 from __future__ import annotations
@@ -10,8 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ConfigError, read_text
-
-_MISSING = object()
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -50,48 +52,61 @@ def check_keys(config: dict[str, str], allowed: set[str], command: str):
         )
 
 
-def get_str(config: dict[str, str], key: str, default=_MISSING) -> str:
-    if key in config:
-        return config[key]
-    if default is _MISSING:
+def read_fields(config: dict[str, str], readers: dict, command: str, required=()) -> dict:
+    """``config`` read through ``readers`` (key -> reader), rejecting other
+    keys. Holds the keys given plus ``required`` ones (absent ones raise)."""
+    check_keys(config, set(readers), command)
+    wanted = set(config) | set(required)
+    return {key: read(config, key) for key, read in readers.items() if key in wanted}
+
+
+def format_fields(record, fields: dict) -> str:
+    """One ``key=value`` line per field of ``fields`` (key -> (reader, formatter))."""
+    return "".join(f"{key}={fmt(getattr(record, key))}\n" for key, (_, fmt) in fields.items())
+
+
+def parse_fields(text: str, fields: dict) -> dict:
+    """Inverse of ``format_fields``: every key of ``fields``, read by its reader."""
+    config = parse_config_text(text)
+    return {key: read(config, key) for key, (read, _) in fields.items()}
+
+
+def get_str(config: dict[str, str], key: str) -> str:
+    if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
-    return default
+    return config[key]
 
 
-def get_int(config: dict[str, str], key: str, default=_MISSING) -> int:
-    value = get_str(config, key, default)
-    if isinstance(value, int) or value is None:
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}") from None
+def reader(parse, expected: str, accept=lambda value: True):
+    """Reader of ``parse(value)``. A value that ``parse`` rejects with
+    ValueError, or whose result ``accept`` refuses, is a ConfigError naming
+    the key and the ``expected`` form."""
+
+    def read(config: dict[str, str], key: str):
+        value = get_str(config, key)
+        try:
+            result = parse(value)
+            if accept(result):
+                return result
+        except ValueError:
+            pass
+        raise ConfigError(f"config key {key!r}: expected {expected}, got {value!r}")
+
+    return read
 
 
-def get_float(config: dict[str, str], key: str, default=_MISSING) -> float:
-    value = get_str(config, key, default)
-    if isinstance(value, (int, float)) or value is None:
-        return value
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected a number, got {value!r}") from None
+def int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in value.split(","))
 
 
-def get_choice(config: dict[str, str], key: str, choices: tuple[str, ...], default=_MISSING) -> str:
-    value = get_str(config, key, default)
-    if value is not None and value not in choices:
-        raise ConfigError(f"config key {key!r}: expected one of {choices}, got {value!r}")
-    return value
+get_int = reader(int, "an integer")
+get_float = reader(float, "a number")
+get_int_tuple = reader(int_list, "comma-separated integers")
 
 
-def get_int_tuple(config: dict[str, str], key: str, default=_MISSING) -> tuple[int, ...]:
-    value = get_str(config, key, default)
-    if value is None or isinstance(value, tuple):
-        return value
-    try:
-        return tuple(int(part) for part in value.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"config key {key!r}: expected comma-separated integers, got {value!r}"
-        ) from None
+def one_of(*choices: str):
+    return reader(str, f"one of {choices}", lambda v: v in choices)
+
+
+def int_at_least(lo: int):
+    return reader(int, f"an integer >= {lo}", lambda v: v >= lo)

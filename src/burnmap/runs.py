@@ -1,7 +1,8 @@
 """Batch run orchestration behind the CLI subcommands.
 
-Each command reads a flat key=value config, performs one pipeline stage, and
-writes its primary outputs under a run directory:
+Each command accepts exactly the keys of its ``*_FIELDS`` table, checks every
+value before it reads data or creates its output directory, performs one
+pipeline stage, and writes its primary outputs under a run directory:
 
     metrics.csv    one row per repeat: method, family, repeat, seed, metrics
     report.txt     aligned per-repeat table plus a mean (std) summary row
@@ -18,12 +19,13 @@ repeat runs measure seed variation and nothing else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import bamcd, forest, mlp
+from . import bamcd
 from .errors import ConfigError, DataError, read_text
 from .features import (
     FeatureSchema,
@@ -48,20 +50,15 @@ from .metrics import (
 )
 from .mlp import mlp_fit, mlp_predict, save_mlp
 from .rasters import BandId, GroundTruthMask, RasterPatch, ingest_scene
-from .runconfig import (
-    check_keys,
-    get_choice,
-    get_float,
-    get_int,
-    get_int_tuple,
-    get_str,
-)
+from .runconfig import get_str, int_at_least, int_list, one_of, read_fields, reader
 from .seeding import derive_seed
-from .spectral import IndexKind
 from .synthetic import SyntheticConfig, benchmark_config, generate_dataset, split_counts
-from .threshold import GRID_STEPS, evaluate_threshold, fit_threshold
+from .threshold import GRID_STEPS, evaluate_threshold, fit_threshold, get_index_kind
 
 FAMILY_ORDER = ("indices", "ml", "dl")
+
+_positive = reader(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_fraction = reader(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def _write(path: Path, text: str):
@@ -109,46 +106,48 @@ def _write_run_reports(
 
 # ------------------------------------------------------------------- synth
 
-SYNTH_KEYS = {
-    "preset", "events", "n_train", "n_val", "n_test", "patch_size", "noise",
-    "outlier_frac", "distractor_prob", "water_prob", "burn_frac", "clip_max",
+PRESETS = {"clean": SyntheticConfig, "benchmark": benchmark_config}
+SPLIT_KEYS = ("n_train", "n_val", "n_test")
+
+# Keys other than preset and events are SyntheticConfig fields.
+SYNTH_FIELDS = {
+    "preset": one_of(*PRESETS),
+    "events": int_at_least(3),
+    **dict.fromkeys(SPLIT_KEYS, int_at_least(0)),
+    "patch_size": int_at_least(8),
+    "noise": reader(float, "a finite number >= 0", lambda v: 0 <= v < math.inf),
+    **dict.fromkeys(("outlier_frac", "distractor_prob", "water_prob"), _fraction),
+    "burn_frac": reader(float, "a number in (0, 1]", lambda v: 0 < v <= 1),
 }
 
 
 def _synthetic_config(config: dict[str, str]) -> SyntheticConfig:
-    preset = get_choice(config, "preset", ("benchmark",), None)
-    base = benchmark_config() if preset == "benchmark" else SyntheticConfig()
-    events = get_int(config, "events", None)
-    explicit = [k for k in ("n_train", "n_val", "n_test") if k in config]
-    if events is not None and explicit:
-        raise ConfigError(f"give either events= or {explicit}, not both")
-    overrides = {}
-    if events is not None:
-        overrides.update({f"n_{k}": v for k, v in split_counts(events).items()})
-    for key in explicit:
-        overrides[key] = get_int(config, key)
-    for key in ("noise", "outlier_frac", "distractor_prob", "water_prob", "burn_frac"):
-        if key in config:
-            overrides[key] = get_float(config, key)
-    if "patch_size" in config:
-        overrides["patch_size"] = get_int(config, "patch_size")
-    return replace(base, **overrides)
+    fields = read_fields(config, SYNTH_FIELDS, "synth")
+    base = PRESETS[fields.pop("preset", "clean")]()
+    if "events" in fields:
+        explicit = [k for k in SPLIT_KEYS if k in fields]
+        if explicit:
+            raise ConfigError(f"give either events= or {explicit}, not both")
+        fields.update({f"n_{k}": n for k, n in split_counts(fields.pop("events")).items()})
+    return replace(base, **fields)
 
 
 def cmd_synth(config: dict[str, str], out_dir: Path, seed: int) -> Path:
     """Generate a synthetic dataset; write patches plus the manifest."""
-    check_keys(config, SYNTH_KEYS, "synth")
-    cfg = _synthetic_config(config)
-    clip_max = get_float(config, "clip_max", 1.0)
-    samples = generate_dataset(cfg, seed)
-    save_dataset(samples, out_dir, clip_max=clip_max)
+    samples = generate_dataset(_synthetic_config(config), seed)
+    save_dataset(samples, out_dir)
     _echo_config(out_dir, config, seed, 1)
     return out_dir / MANIFEST_NAME
 
 
 # ------------------------------------------------------------------ ingest
 
-INGEST_KEYS = {"scene_train", "scene_val", "scene_test", "patch_size", "clip_max"}
+SCENE_KEYS = ("scene_train", "scene_val", "scene_test")
+INGEST_FIELDS = {
+    **dict.fromkeys(SCENE_KEYS, get_str),
+    "patch_size": int_at_least(1),
+    "clip_max": _positive,
+}
 
 
 def _load_scene(path: str):
@@ -172,16 +171,14 @@ def _load_scene(path: str):
 
 def cmd_ingest(config: dict[str, str], out_dir: Path, seed: int) -> Path:
     """Tile one scene file per split into patches; write the manifest."""
-    check_keys(config, INGEST_KEYS, "ingest")
-    patch_size = get_int(config, "patch_size", 64)
-    clip_max = get_float(config, "clip_max", 1.0)
-    scene_keys = [k for k in ("scene_train", "scene_val", "scene_test") if k in config]
-    if not scene_keys:
-        raise ConfigError("ingest needs at least one of scene_train/scene_val/scene_test")
+    fields = read_fields(config, INGEST_FIELDS, "ingest")
+    patch_size = fields.pop("patch_size", 64)
+    clip_max = fields.pop("clip_max", 1.0)
+    if not fields:
+        raise ConfigError(f"ingest needs at least one of {'/'.join(SCENE_KEYS)}")
     samples = []
-    for key in scene_keys:
+    for key, path in fields.items():
         split = key.partition("_")[2]
-        path = get_str(config, key)
         pre, post, truth, water = _load_scene(path)
         samples += ingest_scene(
             pre, post, truth, patch_size,
@@ -195,16 +192,15 @@ def cmd_ingest(config: dict[str, str], out_dir: Path, seed: int) -> Path:
 
 # -------------------------------------------------------------- index-eval
 
-INDEX_EVAL_KEYS = {"manifest", "index", "steps"}
+INDEX_EVAL_FIELDS = {"manifest": get_str, "index": get_index_kind, "steps": int_at_least(2)}
 
 
 def cmd_index_eval(config: dict[str, str], out_dir: Path, seed: int) -> MetricReport:
     """Fit a delta-index threshold on train pixels; evaluate on test pixels."""
-    check_keys(config, INDEX_EVAL_KEYS, "index-eval")
-    kind = IndexKind.parse(get_str(config, "index"))
-    steps = get_int(config, "steps", GRID_STEPS)
-    manifest = read_manifest(get_str(config, "manifest"))
-    model = fit_threshold(kind, load_split(manifest, "train"), steps)
+    fields = read_fields(config, INDEX_EVAL_FIELDS, "index-eval", ("manifest", "index"))
+    kind = fields["index"]
+    manifest = read_manifest(fields["manifest"])
+    model = fit_threshold(kind, load_split(manifest, "train"), fields.get("steps", GRID_STEPS))
     _, report = evaluate_threshold(model, load_split(manifest, "test"))
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save(out_dir / "threshold.txt")
@@ -216,20 +212,37 @@ def cmd_index_eval(config: dict[str, str], out_dir: Path, seed: int) -> MetricRe
 
 # ----------------------------------------------------------------- ml-run
 
-ML_KEYS = {
-    "manifest", "method", "schema", "n_pixels", "mi_source",
-    "rf_trees", "rf_max_depth", "rf_min_leaf",
-    "mlp_hidden", "mlp_epochs", "mlp_batch", "mlp_lr",
+ML_FIELDS = {
+    "manifest": get_str,
+    "method": one_of("rf", "mlp"),
+    "schema": one_of("All", "MI", "dSI"),
+    "n_pixels": reader(int, "an even integer >= 2", lambda v: v >= 2 and v % 2 == 0),
+    "mi_source": get_str,
+}
+
+# Each method's hyperparameters: config key -> (fit argument, reader). A run
+# passes only the keys it was given, so the defaults live in forest and mlp.
+FIT_FIELDS = {
+    "rf": {
+        "rf_trees": ("n_trees", int_at_least(1)),
+        "rf_max_depth": ("max_depth", int_at_least(1)),
+        "rf_min_leaf": ("min_leaf", int_at_least(1)),
+    },
+    "mlp": {
+        "mlp_hidden": ("widths", reader(int_list, "integer widths >= 1", lambda v: min(v) >= 1)),
+        "mlp_epochs": ("epochs", int_at_least(1)),
+        "mlp_batch": ("batch_size", int_at_least(1)),
+        "mlp_lr": ("learning_rate", _positive),
+    },
 }
 
 
-def _resolve_schema(config: dict[str, str], bands) -> FeatureSchema:
-    variant = get_choice(config, "schema", ("All", "MI", "dSI"), "All")
+def _resolve_schema(variant: str, mi_source: str | None, bands) -> FeatureSchema:
     if variant == "All":
         return all_schema(bands)
     if variant == "dSI":
         return dsi_schema()
-    source = Path(get_str(config, "mi_source"))
+    source = Path(mi_source)
     base = FeatureSchema.load(source / "schema.txt")
     if base.variant != "All":
         raise ConfigError(
@@ -260,20 +273,27 @@ def cmd_ml_run(
     config: dict[str, str], out_dir: Path, seed: int, repeats: int = 1
 ) -> list[MetricReport]:
     """Pixel-classifier runs: sample -> assemble -> fit -> evaluate, repeated."""
-    check_keys(config, ML_KEYS, "ml-run")
+    method = ML_FIELDS["method"](config, "method")
+    method_fields = FIT_FIELDS[method]
+    readers = {**ML_FIELDS, **{key: read for key, (_, read) in method_fields.items()}}
+    fields = read_fields(config, readers, f"ml-run method={method}", ("manifest",))
+    variant = fields.get("schema", "All")
+    if ("mi_source" in fields) != (variant == "MI"):
+        raise ConfigError("config key 'mi_source' is required with schema=MI, and only then")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    method = get_choice(config, "method", ("rf", "mlp"))
-    manifest = read_manifest(get_str(config, "manifest"))
+    fit_args = {arg: fields[key] for key, (arg, _) in method_fields.items() if key in fields}
+    manifest = read_manifest(fields["manifest"])
     train = load_split(manifest, "train")
     test = load_split(manifest, "test")
     if not train or not test:
         raise DataError("ml-run needs non-empty train and test splits")
 
-    schema = _resolve_schema(config, train[0].pre.bands)
-    n_pixels = get_int(config, "n_pixels", 4000)
-    positions = sample_pixels(train, n_pixels, derive_seed(seed, "pixels"))
+    schema = _resolve_schema(variant, fields.get("mi_source"), train[0].pre.bands)
+    positions = sample_pixels(train, fields.get("n_pixels", 4000), derive_seed(seed, "pixels"))
     train_ds = assemble_features(schema, train, positions)
+    if "widths" in fit_args:
+        fit_args["widths"] = (train_ds.x.shape[1], *fit_args["widths"], 1)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     schema.save(out_dir / "schema.txt")
@@ -285,29 +305,12 @@ def cmd_ml_run(
         model_seed = derive_seed(seed, f"repeat/{r}")
         seeds.append(model_seed)
         if method == "rf":
-            model = rf_fit(
-                train_ds.x,
-                train_ds.y,
-                seed=model_seed,
-                n_trees=get_int(config, "rf_trees", forest.N_TREES),
-                max_depth=get_int(config, "rf_max_depth", forest.MAX_DEPTH),
-                min_leaf=get_int(config, "rf_min_leaf", forest.MIN_LEAF),
-            )
+            model = rf_fit(train_ds.x, train_ds.y, seed=model_seed, **fit_args)
             save_forest(out_dir / f"model_r{r}.npb", model)
             importances.append(model.feature_importances)
             predict = lambda x, m=model: rf_predict(m, x)
         else:
-            hidden = get_int_tuple(config, "mlp_hidden", mlp.HIDDEN_WIDTHS)
-            widths = (train_ds.x.shape[1], *hidden, 1)
-            model = mlp_fit(
-                train_ds.x,
-                train_ds.y,
-                seed=model_seed,
-                widths=widths,
-                epochs=get_int(config, "mlp_epochs", mlp.EPOCHS),
-                batch_size=get_int(config, "mlp_batch", mlp.BATCH_SIZE),
-                learning_rate=get_float(config, "mlp_lr", mlp.LEARNING_RATE),
-            )
+            model = mlp_fit(train_ds.x, train_ds.y, seed=model_seed, **fit_args)
             save_mlp(out_dir / f"model_r{r}.npb", model)
             predict = lambda x, m=model: mlp_predict(m, x)
         reports.append(_evaluate_pixel_model(predict, schema, test))
@@ -331,20 +334,16 @@ def cmd_ml_run(
 
 # ----------------------------------------------------------------- dl-run
 
-DL_KEYS = {
-    "manifest", "profile", "loss", "epochs", "batch_size", "learning_rate",
-    "sharing", "skip_mode", "scse_combine", "reduction", "stem_width",
-    "widths", "blocks", "focal_alpha", "focal_gamma",
-}
+PROFILES = {"mini": bamcd.mini_config, "paperlike": bamcd.paperlike_config}
 
-
-def _network_config(config: dict[str, str], bands) -> bamcd.BamCdConfig:
-    profile = get_choice(config, "profile", ("mini", "paperlike"), "mini")
-    base = bamcd.mini_config() if profile == "mini" else bamcd.paperlike_config()
-    overrides = {
-        key: get(config, key) for key, (get, _) in bamcd.CONFIG_FIELDS.items() if key in config
-    }
-    return replace(base, bands=tuple(bands), **overrides)
+# Every BamCdConfig field but the bands (taken from the data), the optimizer
+# (Adam only) and the seed (--seed) can be overridden.
+DL_FIELDS = {"manifest": get_str, "profile": one_of(*PROFILES)}
+DL_FIELDS.update(
+    (key, read)
+    for key, (read, _) in bamcd.CONFIG_FIELDS.items()
+    if key not in ("bands", "optimizer", "seed")
+)
 
 
 def evaluate_network(model: bamcd.BamCdModel, samples) -> MetricReport:
@@ -357,18 +356,20 @@ def cmd_dl_run(
     config: dict[str, str], out_dir: Path, seed: int, repeats: int = 1
 ) -> list[MetricReport]:
     """Train the change-detection network; evaluate its best checkpoint."""
-    check_keys(config, DL_KEYS, "dl-run")
+    fields = read_fields(config, DL_FIELDS, "dl-run", ("manifest",))
+    profile = fields.pop("profile", "mini")
+    manifest_path = fields.pop("manifest")
+    replace(PROFILES[profile](), **fields)  # BamCdConfig checks every value before any data
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    manifest = read_manifest(get_str(config, "manifest"))
+    manifest = read_manifest(manifest_path)
     train_split = load_split(manifest, "train")
     val_split = load_split(manifest, "val")
     test_split = load_split(manifest, "test")
     if not train_split or not val_split or not test_split:
         raise DataError("dl-run needs non-empty train, val and test splits")
 
-    base = _network_config(config, train_split[0].pre.bands)
-    profile = get_choice(config, "profile", ("mini", "paperlike"), "mini")
+    base = replace(PROFILES[profile](), bands=tuple(train_split[0].pre.bands), **fields)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[MetricReport] = []

@@ -5,6 +5,9 @@ always unburnt. The threshold is found by grid search on pooled training
 pixels: 256 evenly spaced candidates between the 1st and 99th percentile of
 the defined delta values, scored by burnt-class F1, ties resolved toward the
 smallest candidate.
+
+A fitted model is stored as six ``key=value`` lines, written and read
+through one field table (``MODEL_FIELDS``) with the run-config reader.
 """
 
 from __future__ import annotations
@@ -17,10 +20,30 @@ import numpy as np
 from .errors import ConfigError, DataError, FitError, read_text
 from .metrics import ConfusionCounts, MetricReport, accumulate, compute_metrics
 from .rasters import BitemporalSample
+from .runconfig import format_fields, get_float, get_int, get_str, parse_fields
 from .spectral import IndexKind, delta_field
 
 GRID_STEPS = 256
 _PERCENTILES = (1.0, 99.0)
+
+
+def get_index_kind(config: dict[str, str], key: str) -> IndexKind:
+    """Config reader of an index name (``IndexKind.parse``)."""
+    try:
+        return IndexKind.parse(get_str(config, key))
+    except ConfigError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
+# Every ThresholdModel field in declaration order: (reader, formatter).
+MODEL_FIELDS = {
+    "kind": (get_index_kind, lambda kind: kind.value),
+    "threshold": (get_float, repr),
+    "grid_lo": (get_float, repr),
+    "grid_hi": (get_float, repr),
+    "grid_steps": (get_int, str),
+    "train_f1": (get_float, repr),
+}
 
 
 @dataclass
@@ -41,45 +64,16 @@ class ThresholdModel:
             raise FitError(f"threshold {self.threshold} outside grid bounds")
 
     def to_text(self) -> str:
-        return (
-            f"kind={self.kind.value}\n"
-            f"threshold={self.threshold!r}\n"
-            f"grid_lo={self.grid_lo!r}\n"
-            f"grid_hi={self.grid_hi!r}\n"
-            f"grid_steps={self.grid_steps}\n"
-            f"train_f1={self.train_f1!r}\n"
-        )
+        return format_fields(self, MODEL_FIELDS)
 
     @classmethod
     def from_text(cls, text: str) -> "ThresholdModel":
-        fields: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"threshold model line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-
-        def read(key, parse):
-            if key not in fields:
-                raise DataError(f"threshold model missing field {key!r}")
-            try:
-                return parse(fields[key])
-            except (ValueError, ConfigError):
-                raise DataError(
-                    f"threshold model field {key}={fields[key]!r} does not parse"
-                ) from None
-
-        return cls(
-            kind=read("kind", IndexKind.parse),
-            threshold=read("threshold", float),
-            grid_lo=read("grid_lo", float),
-            grid_hi=read("grid_hi", float),
-            grid_steps=read("grid_steps", int),
-            train_f1=read("train_f1", float),
-        )
+        """Read ``to_text`` output; a missing or unparsable field is a DataError."""
+        try:
+            fields = parse_fields(text, MODEL_FIELDS)
+        except ConfigError as exc:
+            raise DataError(f"threshold model: {exc}") from None
+        return cls(**fields)
 
     def save(self, path: str | Path):
         Path(path).write_text(self.to_text(), encoding="utf-8")

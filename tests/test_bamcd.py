@@ -178,6 +178,8 @@ class TestConfig:
             BamCdConfig(widths=(0, 8), blocks=(1, 1))
         with pytest.raises(ConfigError, match="learning rate"):
             BamCdConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="learning rate"):
+            BamCdConfig(learning_rate=float("nan"))
         with pytest.raises(ConfigError, match="reduction"):
             BamCdConfig(reduction=0)
         with pytest.raises(ConfigError, match="optimizer"):
@@ -194,9 +196,9 @@ class TestConfig:
         assert list(CONFIG_FIELDS) == [f.name for f in dataclasses.fields(BamCdConfig)]
 
     def test_config_text_rejects_garbage(self):
-        with pytest.raises(ConfigError, match="missing key"):
+        with pytest.raises(ConfigError, match="missing required key 'blocks'"):
             config_from_text("widths=4,8\n")
-        with pytest.raises(ConfigError, match="malformed"):
+        with pytest.raises(ConfigError, match="line 1: expected key=value"):
             config_from_text("no equals sign here")
         with pytest.raises(ConfigError, match="'epochs'"):
             config_from_text(config_to_text(mini_config()).replace("epochs=30", "epochs=x"))

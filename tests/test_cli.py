@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from burnmap import runs
 from burnmap.cli import exit_code_for, main
 from burnmap.errors import (
     ConfigError,
@@ -18,7 +19,7 @@ from burnmap.errors import (
 )
 from burnmap.manifest import save_dataset
 from burnmap.rasters import ALL_BANDS, BandId
-from burnmap.synthetic import SyntheticConfig, generate_dataset
+from burnmap.synthetic import SyntheticConfig, generate_dataset, generate_scene
 
 
 def write_config(path: Path, items: dict[str, str]) -> Path:
@@ -285,3 +286,94 @@ class TestExitCodes:
         assert exit_code_for(DivergenceError("x", epoch=0)) == 4
         with pytest.raises(ValueError):
             exit_code_for(ValueError("boom"))
+
+
+# Every command's config table, as the command reads it.
+COMMAND_FIELDS = {
+    "synth": runs.SYNTH_FIELDS,
+    "ingest": runs.INGEST_FIELDS,
+    "index-eval": runs.INDEX_EVAL_FIELDS,
+    "ml-run": {**runs.ML_FIELDS, **runs.FIT_FIELDS["rf"], **runs.FIT_FIELDS["mlp"]},
+    "dl-run": runs.DL_FIELDS,
+}
+PATH_KEYS = {"manifest", "mi_source", "scene_train", "scene_val", "scene_test"}
+
+
+def _config_paragraphs() -> dict[str, str]:
+    """README's "Config keys by command" paragraphs, by command name."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys by command", 1)[1].split("\n## ", 1)[0]
+    paragraphs = {}
+    for paragraph in section.split("\n\n"):
+        if paragraph.startswith("**"):
+            paragraphs[paragraph[2:].split("**", 1)[0]] = paragraph
+    return paragraphs
+
+
+def _run_config(tmp_path, command: str, items: dict[str, str]):
+    """Exit code of one command run, which must not create its --out."""
+    cfg = write_config(tmp_path / "c.cfg", items)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    return rc
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c, fields in COMMAND_FIELDS.items() for k in fields if k not in PATH_KEYS],
+    )
+    def test_malformed_value_is_config_error(self, command, key, tmp_path, capsys):
+        """Every value is read before any data: a missing data path would exit 3."""
+        absent = str(tmp_path / "absent")
+        items = {
+            "synth": {},
+            "ingest": {"scene_train": absent},
+            "index-eval": {"manifest": absent, "index": "NBR"},
+            "ml-run": {"manifest": absent, "method": "mlp" if key.startswith("mlp_") else "rf"},
+            "dl-run": {"manifest": absent},
+        }[command]
+        items[key] = "1,x"
+        assert _run_config(tmp_path, command, items) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, items, key",
+        [
+            ("synth", {"n_train": "-1"}, "n_train"),
+            ("synth", {"clip_max": "0.3"}, "clip_max"),
+            ("synth", {"preset": "clean", "water_prob": "1.5"}, "water_prob"),
+            ("ingest", {"patch_size": "0"}, "patch_size"),
+            ("ingest", {"clip_max": "0"}, "clip_max"),
+            ("index-eval", {"index": "NBR", "steps": "1"}, "steps"),
+            ("ml-run", {"method": "rf", "rf_trees": "0"}, "rf_trees"),
+            ("ml-run", {"method": "rf", "rf_trees": "abc"}, "rf_trees"),
+            ("ml-run", {"method": "rf", "n_pixels": "201"}, "n_pixels"),
+            ("ml-run", {"method": "rf", "mlp_hidden": "abc"}, "mlp_hidden"),
+            ("ml-run", {"method": "mlp", "rf_trees": "5"}, "rf_trees"),
+            ("ml-run", {"method": "mlp", "mlp_lr": "nan"}, "mlp_lr"),
+            ("ml-run", {"method": "rf", "mi_source": "elsewhere"}, "mi_source"),
+            ("ml-run", {"method": "rf", "schema": "MI"}, "mi_source"),
+        ],
+    )
+    def test_out_of_range_value_is_config_error(
+        self, command, items, key, dataset_dir, tmp_path, capsys
+    ):
+        """Checked against real data: a late check would write into --out first."""
+        if command == "ingest":
+            pre, post, truth, water = generate_scene(SyntheticConfig(patch_size=16), 2, 32, 32)
+            scene = tmp_path / "scene.npz"
+            np.savez(scene, bands=np.array([b.value for b in pre.bands]), pre=pre.data,
+                     post=post.data, truth=truth.labels, water=water)
+            items = {"scene_train": str(scene), **items}
+        elif command != "synth":
+            items = {"manifest": str(dataset_dir / "manifest.csv"), **items}
+        assert _run_config(tmp_path, command, items) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FIELDS))
+    def test_readme_lists_every_key(self, command):
+        paragraph = _config_paragraphs()[command]
+        missing = [key for key in COMMAND_FIELDS[command] if f"`{key}`" not in paragraph]
+        assert missing == []

@@ -5,13 +5,18 @@ import pytest
 from burnmap.errors import ConfigError
 from burnmap.runconfig import (
     check_keys,
-    get_choice,
+    format_fields,
     get_float,
     get_int,
     get_int_tuple,
     get_str,
+    int_at_least,
     load_config,
+    one_of,
     parse_config_text,
+    parse_fields,
+    read_fields,
+    reader,
 )
 
 
@@ -63,14 +68,11 @@ class TestGetters:
 
     def test_get_str(self):
         assert get_str(self.CFG, "mode") == "fast"
-        assert get_str(self.CFG, "absent", "fallback") == "fallback"
         with pytest.raises(ConfigError, match="missing required"):
             get_str(self.CFG, "absent")
 
     def test_get_int(self):
         assert get_int(self.CFG, "n") == 12
-        assert get_int(self.CFG, "absent", 7) == 7
-        assert get_int(self.CFG, "absent", None) is None
         with pytest.raises(ConfigError, match="integer"):
             get_int(self.CFG, "mode")
 
@@ -80,14 +82,48 @@ class TestGetters:
         with pytest.raises(ConfigError, match="number"):
             get_float(self.CFG, "mode")
 
-    def test_get_choice(self):
-        assert get_choice(self.CFG, "mode", ("fast", "slow")) == "fast"
-        assert get_choice(self.CFG, "absent", ("a",), "a") == "a"
-        with pytest.raises(ConfigError, match="one of"):
-            get_choice(self.CFG, "mode", ("a", "b"))
+    def test_one_of(self):
+        assert one_of("fast", "slow")(self.CFG, "mode") == "fast"
+        with pytest.raises(ConfigError, match="'mode': expected one of"):
+            one_of("a", "b")(self.CFG, "mode")
 
     def test_get_int_tuple(self):
         assert get_int_tuple(self.CFG, "widths") == (4, 8, 16)
-        assert get_int_tuple(self.CFG, "absent", (1,)) == (1,)
         with pytest.raises(ConfigError, match="comma-separated"):
             get_int_tuple(self.CFG, "mode")
+
+    def test_reader_names_key_and_range(self):
+        assert int_at_least(12)(self.CFG, "n") == 12
+        with pytest.raises(ConfigError, match=r"'n': expected an integer >= 13, got '12'"):
+            int_at_least(13)(self.CFG, "n")
+        with pytest.raises(ConfigError, match=r"'mode': expected an integer >= 1, got 'fast'"):
+            int_at_least(1)(self.CFG, "mode")
+        odd = reader(int, "an odd integer", lambda v: v % 2)
+        with pytest.raises(ConfigError, match="'n': expected an odd integer"):
+            odd(self.CFG, "n")
+        with pytest.raises(ConfigError, match="missing required key 'absent'"):
+            odd(self.CFG, "absent")
+
+
+class TestFieldTables:
+    READERS = {"n": get_int, "x": get_float, "mode": get_str}
+
+    def test_read_fields_returns_given_keys_only(self):
+        assert read_fields({"n": "3"}, self.READERS, "demo") == {"n": 3}
+
+    def test_read_fields_rejects_unknown_and_missing_required(self):
+        with pytest.raises(ConfigError, match=r"demo: unknown config keys \['zeta'\]"):
+            read_fields({"zeta": "1"}, self.READERS, "demo")
+        with pytest.raises(ConfigError, match="missing required key 'mode'"):
+            read_fields({"n": "3"}, self.READERS, "demo", required=("mode",))
+
+    def test_record_round_trip(self):
+        class Record:
+            n, x = 7, 0.1
+
+        fields = {"n": (get_int, str), "x": (get_float, repr)}
+        text = format_fields(Record, fields)
+        assert text == "n=7\nx=0.1\n"
+        assert parse_fields(text, fields) == {"n": 7, "x": 0.1}
+        with pytest.raises(ConfigError, match="missing required key 'x'"):
+            parse_fields("n=7\n", fields)

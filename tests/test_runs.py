@@ -80,6 +80,13 @@ class TestSynth:
         with pytest.raises(ConfigError, match="unknown config keys"):
             cmd_synth({"n_patches": "4"}, tmp_path / "d", seed=0)
 
+    def test_clean_preset_writes_the_bare_dataset(self, tmp_path):
+        cmd_synth({"preset": "clean"}, tmp_path / "clean", seed=4)
+        cmd_synth({}, tmp_path / "bare", seed=4)
+        clean, bare = fingerprint(tmp_path / "clean"), fingerprint(tmp_path / "bare")
+        assert clean.pop("run_config.txt") != bare.pop("run_config.txt")  # echoes the preset
+        assert clean and clean == bare
+
     def test_benchmark_preset(self):
         cfg = _synthetic_config({"preset": "benchmark"})
         assert (cfg.n_train, cfg.n_val, cfg.n_test) == (40, 10, 10)

@@ -155,7 +155,7 @@ class TestSerialization:
                       grid_steps="8", train_f1="0.5")
         fields[key] = value
         text = "".join(f"{k}={v}\n" for k, v in fields.items())
-        with pytest.raises(DataError, match=f"field {key}='{value}' does not parse"):
+        with pytest.raises(DataError, match=f"threshold model: config key '{key}'.*'{value}'"):
             ThresholdModel.from_text(text)
 
     def test_bad_line(self):

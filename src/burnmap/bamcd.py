@@ -18,6 +18,7 @@ bit-identical traces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -91,6 +92,10 @@ class BamCdConfig:
             raise ConfigError(
                 f"epochs={self.epochs}, batch_size={self.batch_size} out of range"
             )
+        if not 0 <= self.focal_alpha <= 1:  # NaN included
+            raise ConfigError(f"'focal_alpha' must be in [0, 1], got {self.focal_alpha}")
+        if not 0 < self.focal_gamma < math.inf:
+            raise ConfigError(f"'focal_gamma' must be finite and > 0, got {self.focal_gamma}")
 
     @property
     def stem(self) -> int:

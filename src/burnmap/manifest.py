@@ -1,4 +1,5 @@
-"""Dataset manifest: a small CSV inventory pointing at FLG1 patch files.
+"""Dataset manifest: a small CSV inventory pointing at patch record files
+(``patches/<event id>.npb``, see patchio).
 
 Format: UTF-8 text, ``#`` comment lines carrying dataset-level settings
 (``# patch_size=64``, ``# clip_max=1.0``), then a header row and one row per
@@ -46,7 +47,7 @@ class DatasetManifest:
 
 def _entry_filename(event_id: str) -> str:
     safe = event_id.replace("/", "_").replace("\\", "_")
-    return f"patches/{safe}.flg1"
+    return f"patches/{safe}.npb"
 
 
 def save_dataset(
@@ -54,7 +55,7 @@ def save_dataset(
     out_dir: str | Path,
     clip_max: float = 1.0,
 ) -> DatasetManifest:
-    """Write every sample as an FLG1 file plus the manifest that indexes them."""
+    """Write every sample as a patch record file plus the manifest that indexes them."""
     if not samples:
         raise DataError("refusing to write an empty dataset")
     sizes = {s.height for s in samples} | {s.width for s in samples}

@@ -12,12 +12,13 @@ Free-form text travels as UTF-8 bytes in a uint8 block (see text_block /
 block_text). Malformed input raises FormatError carrying the byte offset;
 trailing bytes are rejected.
 
-A model file is a container whose first block, ``__meta__``, is text:
-``kind=<kind>\n``, then one ``key=value\n`` line per metadata field, each
-value a non-negative integer or comma-separated ones. ``save_model`` and
-``load_model`` are the only code that writes or parses it. Loading a damaged
-model file raises FormatError; a well-formed model file of another kind
-raises DataError.
+A record (a model file, or a patch sample: see patchio) is a container
+whose first block, ``__meta__``, is text: ``kind=<kind>\n``, then one
+``key=value\n`` line per metadata field, each value a non-negative integer
+or comma-separated ones. ``record_blocks`` and ``read_record`` are the only
+code that writes or parses it; ``save_model`` and ``load_model`` are their
+file halves. Reading a damaged record raises FormatError; a well-formed
+record of another kind raises DataError.
 """
 
 from __future__ import annotations
@@ -79,15 +80,16 @@ def pack_blocks(blocks: dict[str, np.ndarray]) -> bytes:
 
 
 def unpack_blocks(blob: bytes) -> dict[str, np.ndarray]:
+    view = memoryview(blob)  # slices share the buffer: each payload is copied once
     pos = 0
 
-    def need(n: int, what: str) -> bytes:
+    def need(n: int, what: str) -> memoryview:
         nonlocal pos
         if pos + n > len(blob):
             raise FormatError(
                 f"truncated container: needed {n} bytes for {what}", offset=pos
             )
-        piece = blob[pos : pos + n]
+        piece = view[pos : pos + n]
         pos += n
         return piece
 
@@ -102,7 +104,7 @@ def unpack_blocks(blob: bytes) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack("<H", need(2, f"block {i} name length"))
         name_at = pos
         try:
-            name = need(name_len, f"block {i} name").decode("utf-8")
+            name = str(need(name_len, f"block {i} name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"block {i} name is not UTF-8", offset=name_at) from exc
         code_at = pos
@@ -130,13 +132,11 @@ def save_blocks(path: str | Path, blocks: dict[str, np.ndarray]):
     Path(path).write_bytes(pack_blocks(blocks))
 
 
-def load_blocks(path: str | Path) -> dict[str, np.ndarray]:
-    return unpack_blocks(Path(path).read_bytes())
-
-
-# ---------------------------------------------------------------- model files
+# -------------------------------------------------------------------- records
 
 Model = TypeVar("Model")
+Meta = dict[str, int | tuple[int, ...]]
+Fields = dict[str, Callable[[str], object]]
 _UINT = re.compile(r"[0-9]+")
 
 
@@ -156,24 +156,24 @@ def _meta_value(value: int | tuple[int, ...]) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def save_model(
-    path: str | Path,
-    kind: str,
-    meta: dict[str, int | tuple[int, ...]],
-    blocks: dict[str, np.ndarray],
-):
-    """Write a model file: the ``__meta__`` block, then ``blocks`` in order."""
+def record_blocks(kind: str, meta: Meta, blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The blocks of a record: ``__meta__``, then ``blocks`` in order."""
     text = f"kind={kind}\n" + "".join(f"{key}={_meta_value(v)}\n" for key, v in meta.items())
-    save_blocks(path, {"__meta__": text_block(text), **blocks})
+    return {"__meta__": text_block(text), **blocks}
 
 
-class _ModelBlocks(dict):
-    """The blocks of one model file. Looking up a missing name raises
+def save_model(path: str | Path, kind: str, meta: Meta, blocks: dict[str, np.ndarray]):
+    """Write a model file: the record of ``kind``, ``meta`` and ``blocks``."""
+    save_blocks(path, record_blocks(kind, meta, blocks))
+
+
+class _RecordBlocks(dict):
+    """The blocks of one record. Looking up a missing name raises
     FormatError, and every name looked up is removed from ``unread``."""
 
-    def __init__(self, path: str | Path, blocks: dict[str, np.ndarray]):
+    def __init__(self, source: object, blocks: dict[str, np.ndarray]):
         super().__init__(blocks)
-        self.path = path
+        self.source = source
         self.unread = set(blocks)
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -181,47 +181,49 @@ class _ModelBlocks(dict):
         return super().__getitem__(name)
 
     def __missing__(self, name: str):
-        raise FormatError(f"{self.path}: no block {name!r}")
+        raise FormatError(f"{self.source}: no block {name!r}")
 
 
-def load_model(
-    path: str | Path,
-    kind: str,
-    fields: dict[str, Callable[[str], object]],
-    build: Callable[[dict[str, object], dict[str, np.ndarray]], Model],
+def read_record(
+    blob: bytes, kind: str, fields: Fields, build: Callable[..., Model], source: object
 ) -> Model:
-    """Read a model file of ``kind`` and return ``build(meta, blocks)``.
+    """Parse a record of ``kind`` and return ``build(meta, blocks)``.
 
     ``meta`` maps each key of ``fields`` to its value as parsed by the
     field's reader (``meta_int``, ``meta_ints``). Raises DataError when the
-    file holds another kind, and FormatError when it is damaged: a missing
+    record holds another kind, and FormatError when it is damaged: a missing
     block, a meta text that is not UTF-8, a meta line without ``=``, a
     missing key or an unparsable value, a ConfigError raised by ``build``
     (stored config text or arrays that do not fit the model they describe),
-    or a block that ``build`` never looks up.
+    or a block that ``build`` never looks up. Messages start with ``source``.
     """
-    blocks = _ModelBlocks(path, load_blocks(path))
+    blocks = _RecordBlocks(source, unpack_blocks(blob))
     raw: dict[str, str] = {}
     for line in block_text(blocks["__meta__"]).splitlines():
         key, sep, value = line.partition("=")
         if not sep:
-            raise FormatError(f"{path}: meta line {line!r} is not key=value")
+            raise FormatError(f"{source}: meta line {line!r} is not key=value")
         raw[key] = value
     if raw.get("kind", kind) != kind:  # another kind need not have this kind's keys
-        raise DataError(f"{path} holds a {raw['kind']!r} model, not {kind!r}")
+        raise DataError(f"{source} holds a {raw['kind']!r} model, not {kind!r}")
     for key in ("kind", *fields):
         if key not in raw:
-            raise FormatError(f"{path}: meta has no {key!r}")
+            raise FormatError(f"{source}: meta has no {key!r}")
     meta = {}
     for key, read in fields.items():
         try:
             meta[key] = read(raw[key])
         except ValueError:
-            raise FormatError(f"{path}: meta {key}={raw[key]!r} is unparsable") from None
+            raise FormatError(f"{source}: meta {key}={raw[key]!r} is unparsable") from None
     try:
         model = build(meta, blocks)
     except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        raise FormatError(f"{source}: {exc}") from None
     if blocks.unread:
-        raise FormatError(f"{path}: unexpected blocks {sorted(blocks.unread)}")
+        raise FormatError(f"{source}: unexpected blocks {sorted(blocks.unread)}")
     return model
+
+
+def load_model(path: str | Path, kind: str, fields: Fields, build: Callable[..., Model]) -> Model:
+    """Read the model file at ``path``: ``read_record`` of its bytes."""
+    return read_record(Path(path).read_bytes(), kind, fields, build, path)

@@ -1,145 +1,81 @@
-"""FLG1 binary container for one bitemporal patch sample.
+"""One bitemporal patch sample as a kind-``patch`` NPB record (see modelio).
 
-Layout (little-endian throughout):
+Blocks, in order:
 
-    offset 0   magic          4 bytes  "FLG1"
-    offset 4   version        u16      currently 1
-    offset 6   patch_size     u16
-    offset 8   band_count     u8
-    offset 9   band table     band_count x 4 ASCII bytes, NUL padded
-    ...        mask flags     u8       bit 0 = truth present, bit 1 = water
-    ...        split code     u8       0 = train, 1 = val, 2 = test
-    ...        event id len   u16
-    ...        event id       UTF-8 bytes
-    payload    pre            band_count * patch_size^2 float32
-               post           band_count * patch_size^2 float32
-               truth          patch_size^2 u8 (if flagged)
-               water          patch_size^2 u8 (if flagged)
+    __meta__   kind=patch, split=<index into rasters.SPLITS>
+    bands      text: the band names, comma-separated
+    event_id   text: the event id as raw UTF-8 (no key=value, so ``#`` stays)
+    pre, post  float32 (bands, P, P)
+    truth      uint8 (P, P)
+    water      uint8 (P, P), only when the sample has a water mask
 
-Malformed input raises FormatError carrying the byte offset at which
-parsing failed.
+A damaged record (a container fault, a missing or unexpected block, a wrong
+dtype or shape, an unknown band or split) raises FormatError. A record of
+another kind, non-finite reflectance or a label other than 0/1 raises
+DataError.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
+from .modelio import block_text, meta_int, pack_blocks, read_record, record_blocks, text_block
 from .rasters import BandId, BitemporalSample, GroundTruthMask, RasterPatch, SPLITS
 
-MAGIC = b"FLG1"
-VERSION = 1
 
-_FLAG_TRUTH = 0x01
-_FLAG_WATER = 0x02
+def _split(text: str) -> str:
+    code = meta_int(text)
+    if code >= len(SPLITS):
+        raise ValueError(text)
+    return SPLITS[code]
+
+
+def _array(blocks, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    arr = blocks[name]
+    if arr.dtype != dtype or arr.shape != shape:
+        raise FormatError(
+            f"block {name!r} is {arr.dtype} {arr.shape}, expected {np.dtype(dtype)} {shape}"
+        )
+    return arr
+
+
+def _sample(meta: dict, blocks) -> BitemporalSample:
+    names = block_text(blocks["bands"]).split(",")
+    try:
+        bands = tuple(map(BandId, names))
+    except ValueError:
+        raise FormatError(f"unknown band in {names}") from None
+    plane = blocks["pre"].shape[-2:]
+    pre, post = (_array(blocks, n, np.float32, (len(bands), *plane)) for n in ("pre", "post"))
+    truth = GroundTruthMask(_array(blocks, "truth", np.uint8, plane))
+    water = _array(blocks, "water", np.uint8, plane) if "water" in blocks else None
+    event_id = block_text(blocks["event_id"])
+    return BitemporalSample(
+        RasterPatch(bands, pre), RasterPatch(bands, post), truth, water, event_id, meta["split"]
+    )
 
 
 def write_sample(sample: BitemporalSample) -> bytes:
-    """Serialize one sample to FLG1 bytes."""
-    if sample.height != sample.width:
-        raise FormatError(
-            f"FLG1 stores square patches, got {sample.height}x{sample.width}"
-        )
-    size = sample.height
-    bands = sample.pre.bands
-    event_id = sample.event_id.encode("utf-8")
-    if len(event_id) > 0xFFFF:
-        raise FormatError("event id longer than 65535 bytes")
-
-    flags = _FLAG_TRUTH
+    """Serialize one sample to the bytes of its patch record."""
+    blocks = {
+        "bands": text_block(",".join(b.value for b in sample.pre.bands)),
+        "event_id": text_block(sample.event_id),
+        "pre": sample.pre.data,
+        "post": sample.post.data,
+        "truth": sample.truth.labels,
+    }
     if sample.water is not None:
-        flags |= _FLAG_WATER
-
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<HHB", VERSION, size, len(bands))
-    for b in bands:
-        out += b.value.encode("ascii").ljust(4, b"\x00")
-    out += struct.pack("<BBH", flags, SPLITS.index(sample.split), len(event_id))
-    out += event_id
-    out += np.ascontiguousarray(sample.pre.data, dtype="<f4").tobytes()
-    out += np.ascontiguousarray(sample.post.data, dtype="<f4").tobytes()
-    out += sample.truth.labels.astype(np.uint8).tobytes()
-    if sample.water is not None:
-        out += sample.water.astype(np.uint8).tobytes()
-    return bytes(out)
+        blocks["water"] = sample.water
+    meta = {"split": SPLITS.index(sample.split)}
+    return pack_blocks(record_blocks("patch", meta, blocks))
 
 
 def read_sample(blob: bytes) -> BitemporalSample:
-    """Parse FLG1 bytes back into a sample. Inverse of write_sample."""
-    pos = 0
-
-    def need(n: int, what: str) -> int:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FormatError(f"truncated FLG1 data while reading {what}", offset=pos)
-        start = pos
-        pos += n
-        return start
-
-    at = need(4, "magic")
-    if blob[at : at + 4] != MAGIC:
-        raise FormatError(f"bad magic {blob[at:at + 4]!r}", offset=at)
-    at = need(5, "header")
-    version, size, band_count = struct.unpack_from("<HHB", blob, at)
-    if version != VERSION:
-        raise FormatError(f"unsupported FLG1 version {version}", offset=at)
-    if size == 0:
-        raise FormatError("patch size is zero", offset=at + 2)
-    if band_count == 0:
-        raise FormatError("band count is zero", offset=at + 4)
-
-    bands = []
-    for i in range(band_count):
-        at = need(4, f"band name {i}")
-        name = blob[at : at + 4].rstrip(b"\x00").decode("ascii", errors="replace")
-        try:
-            bands.append(BandId(name))
-        except ValueError:
-            raise FormatError(f"unknown band {name!r}", offset=at) from None
-
-    at = need(4, "flags")
-    flags, split_code, id_len = struct.unpack_from("<BBH", blob, at)
-    if not flags & _FLAG_TRUTH:
-        raise FormatError("sample is missing its truth mask", offset=at)
-    if flags & ~(_FLAG_TRUTH | _FLAG_WATER):
-        raise FormatError(f"unknown mask flags 0x{flags:02x}", offset=at)
-    if split_code >= len(SPLITS):
-        raise FormatError(f"unknown split code {split_code}", offset=at + 1)
-    at = need(id_len, "event id")
-    event_id = blob[at : at + id_len].decode("utf-8", errors="replace")
-
-    plane = size * size
-    raster_bytes = band_count * plane * 4
-
-    def read_raster(what: str) -> np.ndarray:
-        at = need(raster_bytes, what)
-        arr = np.frombuffer(blob, dtype="<f4", count=band_count * plane, offset=at)
-        return arr.reshape(band_count, size, size).astype(np.float32)
-
-    pre = read_raster("pre raster")
-    post = read_raster("post raster")
-    at = need(plane, "truth mask")
-    truth = np.frombuffer(blob, dtype=np.uint8, count=plane, offset=at).reshape(size, size)
-    water = None
-    if flags & _FLAG_WATER:
-        at = need(plane, "water mask")
-        water = np.frombuffer(blob, dtype=np.uint8, count=plane, offset=at).reshape(size, size)
-    if pos != len(blob):
-        raise FormatError(f"{len(blob) - pos} trailing bytes after payload", offset=pos)
-
-    bands_t = tuple(bands)
-    return BitemporalSample(
-        pre=RasterPatch(bands_t, pre),
-        post=RasterPatch(bands_t, post),
-        truth=GroundTruthMask(truth.copy()),
-        water=None if water is None else water.copy(),
-        event_id=event_id,
-        split=SPLITS[split_code],
-    )
+    """Parse a patch record back into a sample. Inverse of write_sample."""
+    return read_record(blob, "patch", {"split": _split}, _sample, "patch record")
 
 
 def save_sample(sample: BitemporalSample, path: str | Path):

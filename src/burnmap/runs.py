@@ -248,11 +248,15 @@ def _resolve_schema(variant: str, mi_source: str | None, bands) -> FeatureSchema
         raise ConfigError(
             f"mi_source run used schema {base.variant!r}; MI derives from All"
         )
-    importance_lines = read_text(source / "importances.txt")
+    path = source / "importances.txt"
     weights = []
-    for line in importance_lines.splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if line.strip():
-            weights.append(float(line.rsplit(",", 1)[1]))
+            try:
+                _, value = line.rsplit(",", 1)
+                weights.append(float(value))
+            except ValueError:  # no comma, or a weight that is not a number
+                raise DataError(f"{path}:{lineno}: expected label,weight, got {line!r}") from None
     return derive_mi_schema(base, np.array(weights))
 
 

@@ -104,6 +104,8 @@ class SyntheticConfig:
             v = getattr(self, name)
             if v < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {v}")
+        if not any(self.counts().values()):
+            raise ConfigError("'n_train', 'n_val' and 'n_test' are all 0: no patches to generate")
         object.__setattr__(self, "bands", tuple(BandId(b) for b in self.bands))
 
     def counts(self) -> dict[str, int]:

@@ -355,6 +355,11 @@ class TestConfigValues:
             ("ml-run", {"method": "mlp", "mlp_lr": "nan"}, "mlp_lr"),
             ("ml-run", {"method": "rf", "mi_source": "elsewhere"}, "mi_source"),
             ("ml-run", {"method": "rf", "schema": "MI"}, "mi_source"),
+            ("dl-run", {"loss": "focal", "focal_alpha": "-3"}, "focal_alpha"),
+            ("dl-run", {"loss": "focal", "focal_alpha": "nan"}, "focal_alpha"),
+            ("dl-run", {"loss": "focal", "focal_gamma": "0"}, "focal_gamma"),
+            ("dl-run", {"loss": "focal", "focal_gamma": "nan"}, "focal_gamma"),
+            ("synth", {"n_train": "0", "n_val": "0", "n_test": "0"}, "n_train"),
         ],
     )
     def test_out_of_range_value_is_config_error(

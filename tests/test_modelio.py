@@ -9,7 +9,6 @@ from burnmap import bamcd, forest, mlp
 from burnmap.errors import ConfigError, DataError, FormatError
 from burnmap.modelio import (
     block_text,
-    load_blocks,
     load_model,
     meta_int,
     meta_ints,
@@ -47,7 +46,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "model.npb"
         save_blocks(path, _sample_blocks())
-        back = load_blocks(path)
+        back = unpack_blocks(path.read_bytes())
         np.testing.assert_array_equal(
             back["tree/000/feature"], np.array([0, 3, -1], dtype=np.int64)
         )
@@ -130,7 +129,7 @@ class TestModelFile:
         path = tmp_path / "m.npb"
         w = np.arange(3, dtype=np.float32)
         save_model(path, "demo", {"n": 3, "widths": (4, 3, 1)}, {"w": w})
-        blocks = load_blocks(path)
+        blocks = unpack_blocks(path.read_bytes())
         assert list(blocks) == ["__meta__", "w"]
         assert block_text(blocks["__meta__"]) == "kind=demo\nn=3\nwidths=4,3,1\n"
         meta, back = load_model(path, "demo", self.FIELDS, lambda m, b: (m, b["w"]))

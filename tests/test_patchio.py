@@ -1,9 +1,14 @@
-"""FLG1 container: round trips, layout arithmetic, malformed-input offsets."""
+"""Patch records: round trips, damaged records, records of another kind."""
 
 import numpy as np
 import pytest
+from cluster_data import separable_clusters
 
+from burnmap import bamcd
 from burnmap.errors import DataError, FormatError
+from burnmap.forest import load_forest, rf_fit, save_forest
+from burnmap.mlp import load_mlp
+from burnmap.modelio import pack_blocks, text_block, unpack_blocks
 from burnmap.patchio import load_sample, read_sample, save_sample, write_sample
 from burnmap.rasters import BandId, BitemporalSample, GroundTruthMask, RasterPatch
 
@@ -19,10 +24,19 @@ def make_sample(size=6, water=True, event_id="ev-train-000", split="train", seed
     return BitemporalSample(pre, post, truth, wmask, event_id, split)
 
 
-def header_size(n_bands, event_id):
-    """Layout arithmetic done by hand: magic 4 + (version,size,bands) 5
-    + band table 4n + (flags,split,idlen) 4 + id bytes."""
-    return 4 + 5 + 4 * n_bands + 4 + len(event_id.encode())
+def edited(sample=None, drop=(), **blocks):
+    """The record of ``sample`` with ``blocks`` replaced and ``drop`` removed."""
+    record = unpack_blocks(write_sample(sample or make_sample()))
+    record.update(blocks)
+    for name in drop:
+        del record[name]
+    return pack_blocks(record)
+
+
+def payload_offset(blob: bytes, array: np.ndarray) -> int:
+    at = blob.find(array.tobytes())
+    assert at > 0
+    return at
 
 
 class TestRoundTrip:
@@ -43,20 +57,20 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         s = make_sample(split="test", event_id="ev-test-007")
-        save_sample(s, tmp_path / "p.flg1")
-        t = load_sample(tmp_path / "p.flg1")
+        save_sample(s, tmp_path / "p.npb")
+        t = load_sample(tmp_path / "p.npb")
         np.testing.assert_array_equal(t.post.data, s.post.data)
         assert (t.event_id, t.split) == ("ev-test-007", "test")
 
     def test_unicode_event_id(self):
-        s = make_sample(event_id="Évros-α/r0c0")
-        assert read_sample(write_sample(s)).event_id == "Évros-α/r0c0"
+        s = make_sample(event_id="Évros-α/r0c0 # 2")
+        assert read_sample(write_sample(s)).event_id == "Évros-α/r0c0 # 2"
 
-    def test_total_length_arithmetic(self):
-        size, event_id = 6, "ev-train-000"
-        blob = write_sample(make_sample(size=size, event_id=event_id))
-        expected = header_size(3, event_id) + 2 * 3 * size * size * 4 + 2 * size * size
-        assert len(blob) == expected
+    def test_record_layout(self):
+        record = unpack_blocks(write_sample(make_sample(split="val")))
+        assert list(record) == ["__meta__", "bands", "event_id", "pre", "post", "truth", "water"]
+        assert bytes(record["__meta__"]) == b"kind=patch\nsplit=1\n"
+        assert bytes(record["bands"]) == b"B04,B8A,B12"
 
     def test_serialization_deterministic(self):
         assert write_sample(make_sample()) == write_sample(make_sample())
@@ -70,20 +84,18 @@ class TestMalformedInput:
 
     def test_truncated_header(self):
         with pytest.raises(FormatError, match="truncated"):
-            read_sample(b"FLG1\x01")
+            read_sample(b"NPB1\x01")
 
     def test_truncated_payload_reports_offset(self):
-        s = make_sample(size=6, event_id="ev-train-000")
+        s = make_sample()
         blob = write_sample(s)
-        cut = header_size(3, "ev-train-000") + 10  # inside the pre raster
-        with pytest.raises(FormatError, match=f"offset {header_size(3, 'ev-train-000')}"):
-            read_sample(blob[:cut])
+        at = payload_offset(blob, s.pre.data)
+        with pytest.raises(FormatError, match=f"payload .*offset {at}"):
+            read_sample(blob[: at + 10])
 
     def test_unknown_band(self):
-        blob = bytearray(write_sample(make_sample()))
-        blob[9:13] = b"B99\x00"
         with pytest.raises(FormatError, match="B99"):
-            read_sample(bytes(blob))
+            read_sample(edited(bands=text_block("B04,B99,B12")))
 
     def test_unsupported_version(self):
         blob = bytearray(write_sample(make_sample()))
@@ -96,54 +108,73 @@ class TestMalformedInput:
         with pytest.raises(FormatError, match="trailing"):
             read_sample(blob)
 
-    def test_missing_truth_flag(self):
-        s = make_sample(water=False, event_id="x")
-        blob = bytearray(write_sample(s))
-        flags_at = 4 + 5 + 4 * 3
-        blob[flags_at] = 0
-        with pytest.raises(FormatError, match="truth"):
-            read_sample(bytes(blob))
+    def test_missing_truth_block(self):
+        with pytest.raises(FormatError, match="no block 'truth'"):
+            read_sample(edited(drop=["truth"]))
 
     def test_unknown_split_code(self):
-        blob = bytearray(write_sample(make_sample(event_id="x")))
-        split_at = 4 + 5 + 4 * 3 + 1
-        blob[split_at] = 7
-        with pytest.raises(FormatError, match="split code 7"):
-            read_sample(bytes(blob))
+        with pytest.raises(FormatError, match="split='7'"):
+            read_sample(edited(__meta__=text_block("kind=patch\nsplit=7\n")))
+
+    @pytest.mark.parametrize(
+        "name, array",
+        [
+            ("pre", np.zeros((3, 6, 6), np.float64)),
+            ("pre", np.zeros((2, 6, 6), np.float32)),
+            ("post", np.zeros((3, 6, 5), np.float32)),
+            ("truth", np.zeros((6, 6), np.int32)),
+            ("water", np.zeros(36, np.uint8)),
+        ],
+    )
+    def test_wrong_dtype_or_shape(self, name, array):
+        with pytest.raises(FormatError, match=f"block '{name}'"):
+            read_sample(edited(**{name: array}))
 
     def test_non_finite_reflectance_names_band_and_pixel(self):
-        blob = bytearray(write_sample(make_sample(size=6, event_id="ev-train-000")))
-        at = header_size(3, "ev-train-000") + 4 * (6 * 6 + 2 * 6 + 5)  # pre B8A (2, 5)
+        s = make_sample()
+        blob = bytearray(write_sample(s))
+        at = payload_offset(blob, s.pre.data) + 4 * (6 * 6 + 2 * 6 + 5)  # pre B8A (2, 5)
         blob[at : at + 4] = np.float32(np.inf).tobytes()
         with pytest.raises(DataError, match=r"band B8A .* inf at \(row 2, col 5\)"):
             read_sample(bytes(blob))
 
 
-class TestFuzz:
-    """Seeded damage over every byte of a sample with a water mask."""
+class TestOtherKinds:
+    """Patch and model files share the container; each loader takes only its kind."""
 
-    EVENT = "ev-train-000"
+    @pytest.mark.parametrize("load", [load_forest, load_mlp, bamcd.load_bamcd])
+    def test_patch_file_is_not_a_model(self, load, tmp_path):
+        save_sample(make_sample(), tmp_path / "p.npb")
+        with pytest.raises(DataError, match="'patch' model") as err:
+            load(tmp_path / "p.npb")
+        assert not isinstance(err.value, FormatError)
+
+    def test_model_file_is_not_a_patch(self, tmp_path):
+        x, y = separable_clusters(seed=5, n=40)
+        save_forest(tmp_path / "m.npb", rf_fit(x, y, seed=6, n_trees=2, max_depth=3))
+        with pytest.raises(DataError, match="'random_forest' model, not 'patch'") as err:
+            load_sample(tmp_path / "m.npb")
+        assert not isinstance(err.value, FormatError)
+
+
+class TestFuzz:
+    """Seeded damage over every byte of a sample with a water mask: each case
+    loads or raises DataError/FormatError, never another exception."""
 
     def test_truncation_at_every_offset(self):
-        blob = write_sample(make_sample(event_id=self.EVENT))
+        blob = write_sample(make_sample())
         for cut in range(len(blob)):
             with pytest.raises(FormatError) as err:
                 read_sample(blob[:cut])
             assert err.value.offset is not None, cut
 
     def test_single_byte_corruption_at_every_offset(self):
-        # Damage to the header must surface as FormatError (or leave a valid
-        # header, e.g. another known band or split); damage to reflectance or
-        # mask values may also be DataError (a NaN pixel, a label 7).
-        blob = write_sample(make_sample(event_id=self.EVENT))
-        payload_at = header_size(3, self.EVENT)
+        blob = write_sample(make_sample())
         rng = np.random.default_rng(11)
         for pos in range(len(blob)):
             damaged = bytearray(blob)
             damaged[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
             try:
                 read_sample(bytes(damaged))
-            except FormatError as err:
-                assert err.offset is not None, pos
-            except DataError:
-                assert pos >= payload_at, pos
+            except DataError:  # FormatError included
+                pass

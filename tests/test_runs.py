@@ -253,6 +253,24 @@ class TestMlRun:
         with pytest.raises(DataError, match=f"{name} is not UTF-8 text: byte 0xff at offset 12"):
             cmd_ml_run(cfg, tmp_path / "out", seed=8)
 
+    @pytest.mark.parametrize("damaged", ["pre:B02,abc", "pre:B02 0.5", "pre:B02,"])
+    def test_unparsable_importance_is_data_error(
+        self, rf_all_run, dataset_dir, tmp_path, damaged
+    ):
+        source = shutil.copytree(rf_all_run, tmp_path / "source")
+        lines = (source / "importances.txt").read_text().splitlines()
+        lines[1] = damaged
+        (source / "importances.txt").write_text("\n".join(lines) + "\n")
+        cfg = dict(
+            self.RF_CFG,
+            schema="MI",
+            mi_source=str(source),
+            manifest=str(dataset_dir / "manifest.csv"),
+        )
+        with pytest.raises(DataError, match=f"importances.txt:2: .*{damaged!r}"):
+            cmd_ml_run(cfg, tmp_path / "out", seed=8)
+        assert not (tmp_path / "out").exists()
+
     def test_dsi_schema_has_only_deltas(self, dataset_dir, tmp_path):
         out = tmp_path / "rf_dsi"
         cfg = dict(

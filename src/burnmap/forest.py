@@ -7,6 +7,24 @@ values). Feature importances are the node-weighted impurity decreases summed
 over the forest and normalized to 1. Per-tree generators are derived from
 the fit seed, so forests are reproducible and tree order is immaterial to
 the importance reduction.
+
+The split scan sorts each feature column once per forest. A tree holds its
+bootstrap as row counts (how often each training row was drawn), and a node
+as the counts of the rows that reach it; a split zeroes the counts of the
+rows that go the other way. At a node, the candidate columns' presorted
+orders are gathered as one block, and the rows with a nonzero count are kept:
+every column keeps the same m rows, so the block stays rectangular. Running
+sums of the counts, and of the counts of burnt rows, along each row of the
+block give the size and burnt count of every left side, and the whole
+(k, m - 1) array of Gini decreases is scored at once.
+
+This finds the same split, bit for bit, as sorting the node's expanded
+bootstrap rows column by column. A split can only fall between distinct
+values, and there the left side holds the same rows in either form, so its
+size and burnt count are the same integers, exact in float64. The decrease is
+computed from them with the same float operations, and the first maximum in
+row-major order is the first candidate column, then the smallest left side.
+The threshold is the midpoint of the same two neighbouring values.
 """
 
 from __future__ import annotations
@@ -47,46 +65,60 @@ class RandomForestModel:
     feature_importances: np.ndarray
 
 
-def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int, parent_gini: float):
-    """Best (decrease, column, threshold) over the candidate columns of xs,
-    or None. Ties keep the first candidate column, then the smallest left
-    block, making the scan deterministic."""
-    n = xs.shape[0]
-    best = None
-    sizes_l = np.arange(1, n, dtype=np.float64)
+def _scan_node(
+    xt: np.ndarray,
+    order: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    candidates: np.ndarray,
+    min_leaf: int,
+    parent_gini: float,
+):
+    """Best (decrease, candidate index, threshold) for the node whose row
+    counts are ``counts``, or None. A split is valid where the value changes
+    and both sides hold min_leaf rows; ties keep the first candidate column,
+    then the smallest left side, making the scan deterministic."""
+    block = order[candidates]
+    in_block = counts.take(block)
+    kept = np.flatnonzero(in_block > 0)  # flatnonzero + take beat boolean indexing 3-10x
+    rows = block.take(kept).reshape(candidates.size, -1)
+    ws = in_block.take(kept).reshape(rows.shape)
+    vs = xt.take(candidates[:, None] * xt.shape[1] + rows)
+    sizes = np.cumsum(ws, axis=1, dtype=np.float64)
+    burnt = np.cumsum(ws * y.take(rows), axis=1, dtype=np.float64)
+    n, pos = sizes[0, -1], burnt[0, -1]
+    sizes_l, cum = sizes[:, :-1], burnt[:, :-1]
     sizes_r = n - sizes_l
-    for j in range(xs.shape[1]):
-        order = np.argsort(xs[:, j], kind="stable")
-        vs = xs[order, j]
-        cum = np.cumsum(ys[order], dtype=np.float64)[:-1]
-        valid = (vs[:-1] < vs[1:]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
-        if not valid.any():
-            continue
-        pl = cum / sizes_l
-        pr = (cum[-1] + ys[order[-1]] - cum) / sizes_r
-        weighted = (sizes_l * 2.0 * pl * (1.0 - pl) + sizes_r * 2.0 * pr * (1.0 - pr)) / n
-        decrease = np.where(valid, parent_gini - weighted, -np.inf)
-        # decrease[i] scores left = the first i + 1 sorted rows, so the
-        # threshold lies between vs[i] and vs[i + 1]; where the midpoint
-        # rounds up onto vs[i + 1] (adjacent floats, or overflow), vs[i]
-        # still sends exactly those rows left.
-        i = int(np.argmax(decrease))
-        if best is None or decrease[i] > best[0]:
-            thr = (vs[i] + vs[i + 1]) / 2.0
-            best = (float(decrease[i]), j, float(thr if thr < vs[i + 1] else vs[i]))
-    return best
+    valid = (vs[:, :-1] < vs[:, 1:]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
+    if not valid.any():
+        return None
+    pl = cum / sizes_l
+    pr = (pos - cum) / sizes_r
+    weighted = (sizes_l * 2.0 * pl * (1.0 - pl) + sizes_r * 2.0 * pr * (1.0 - pr)) / n
+    decrease = np.where(valid, parent_gini - weighted, -np.inf)
+    # decrease[c, i] scores left = the rows up to block entry i, so the
+    # threshold lies between vs[c, i] and vs[c, i + 1]; where the midpoint
+    # rounds up onto vs[c, i + 1] (adjacent floats, or overflow), vs[c, i]
+    # still sends exactly those rows left.
+    c, i = divmod(int(np.argmax(decrease)), decrease.shape[1])
+    lo, hi = vs[c, i], vs[c, i + 1]
+    thr = (lo + hi) / 2.0
+    return float(decrease[c, i]), c, float(thr if thr < hi else lo)
 
 
 def _grow_tree(
-    x: np.ndarray,
+    xt: np.ndarray,
+    order: np.ndarray,
     y: np.ndarray,
+    counts: np.ndarray,
     rng: np.random.Generator,
     max_depth: int,
     min_leaf: int,
-    n_total: int,
     importances: np.ndarray,
 ) -> DecisionTree:
-    d = x.shape[1]
+    """Grow one tree on the bootstrap whose row counts are ``counts``; xt is
+    the (d, n) feature block and order its per-column sort order."""
+    d, n_total = xt.shape
     k = math.ceil(math.sqrt(d))
     feature: list[int] = []
     threshold: list[float] = []
@@ -102,29 +134,29 @@ def _grow_tree(
         value.append(burnt_fraction)
         return len(feature) - 1
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        n = rows.size
-        pos = int(y[rows].sum())
+    def grow(w: np.ndarray, depth: int) -> int:
+        n = int(w.sum())
+        pos = int(w @ y)
         node = new_node(pos / n)
         if depth >= max_depth or n < 2 * min_leaf or pos in (0, n):
             return node
         candidates = rng.choice(d, size=k, replace=False)
         p = pos / n
-        split = _best_split(x[rows][:, candidates], y[rows], min_leaf, 2.0 * p * (1.0 - p))
+        split = _scan_node(xt, order, y, w, candidates, min_leaf, 2.0 * p * (1.0 - p))
         if split is None or split[0] <= 0.0:
             return node
         decrease, col, thr = split
         feat = int(candidates[col])
         importances[feat] += (n / n_total) * decrease
-        go_left = x[rows, feat] <= thr
+        go_left = xt[feat] <= thr
         feature[node] = feat
         threshold[node] = thr
-        left[node] = grow(rows[go_left], depth + 1)
-        right[node] = grow(rows[~go_left], depth + 1)
+        left[node] = grow(np.where(go_left, w, 0), depth + 1)
+        right[node] = grow(np.where(go_left, 0, w), depth + 1)
         return node
 
-    grow(np.arange(x.shape[0]), 0)
-    del grow  # the recursive closure holds itself; keep x from waiting for the cycle collector
+    grow(counts, 0)
+    del grow  # the recursive closure holds itself; break the cycle instead of waiting for gc
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -142,21 +174,25 @@ def rf_fit(
     max_depth: int = MAX_DEPTH,
     min_leaf: int = MIN_LEAF,
 ) -> RandomForestModel:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, order="F")
     y = np.asarray(y)
     validate_training_data(x, y)
     if n_trees < 1 or max_depth < 1 or min_leaf < 1:
         raise FitError(
             f"hyperparameters must be positive: trees={n_trees} depth={max_depth} leaf={min_leaf}"
         )
-    y = y.astype(np.int64)
+    y = y.astype(np.int32)
     n, d = x.shape
+    xt = x.T
+    order = np.empty((d, n), dtype=np.int32)
+    for j in range(d):
+        order[j] = np.argsort(xt[j], kind="stable")
     importances = np.zeros(d, dtype=np.float64)
     trees = []
     for t in range(n_trees):
         rng = rng_for(seed, f"tree/{t}")
-        rows = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(x[rows], y[rows], rng, max_depth, min_leaf, n, importances))
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.int32)
+        trees.append(_grow_tree(xt, order, y, counts, rng, max_depth, min_leaf, importances))
     total = importances.sum()
     if total > 0:
         importances /= total

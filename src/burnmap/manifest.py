@@ -147,7 +147,13 @@ def read_manifest(path: str | Path) -> DatasetManifest:
 
 
 def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> BitemporalSample:
-    sample = load_sample(manifest.root / entry.path)
+    """The entry's sample; a damaged or invalid patch file raises its
+    DataError or FormatError with a message that starts with the file's path."""
+    try:
+        sample = load_sample(manifest.root / entry.path)
+    except DataError as exc:
+        exc.args = (f"{entry.path}: {exc}",)
+        raise
     if sample.height != manifest.patch_size:
         raise DataError(
             f"{entry.path}: patch size {sample.height} != manifest {manifest.patch_size}"

@@ -91,12 +91,18 @@ class GroundTruthMask:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.labels.ndim != 2:
-            raise DataError(f"mask must be 2-D, got shape {self.labels.shape}")
-        bad = set(np.unique(self.labels)) - {0, 1}
-        if bad:
-            raise DataError(f"mask labels must be 0/1, found {sorted(bad)}")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2:
+            raise DataError(f"mask must be 2-D, got shape {labels.shape}")
+        # Checked before the uint8 cast, which would wrap 256 and truncate 0.5 to 0.
+        if labels.dtype == np.uint8:
+            binary = labels.max(initial=0) <= 1
+        else:
+            binary = ((labels == 0) | (labels == 1)).all()
+        if not binary:
+            bad = np.unique(labels[(labels != 0) & (labels != 1)])
+            raise DataError(f"mask labels must be 0/1, found {bad.tolist()}")
+        self.labels = labels.astype(np.uint8, copy=False)
 
     @property
     def height(self) -> int:

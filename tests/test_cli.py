@@ -254,6 +254,32 @@ class TestExitCodes:
         assert rc == 3
         assert "band B11 has non-finite reflectance nan at (row 20, col 9)" in capsys.readouterr().err
 
+    def test_damaged_patch_error_names_the_file(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        patch = sorted((data / "patches").glob("*-train-*.npb"))[-1]
+        patch.write_bytes(patch.read_bytes()[:-100])
+        cfg = write_config(
+            tmp_path / "i.cfg", {"manifest": str(data / "manifest.csv"), "index": "NBR"}
+        )
+        rc = main(["index-eval", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert f"patches/{patch.name}: truncated container" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [256, 0.5])
+    def test_non_binary_scene_truth_is_data_error(self, tmp_path, capsys, value):
+        rng = np.random.default_rng(9)
+        pre = rng.uniform(0.05, 0.9, (len(ALL_BANDS), 32, 32)).astype(np.float32)
+        truth = np.zeros((32, 32), type(value))
+        truth[3, 4] = value
+        scene = tmp_path / "scene.npz"
+        np.savez(scene, bands=np.array([b.value for b in ALL_BANDS]), pre=pre, post=pre, truth=truth)
+        cfg = write_config(tmp_path / "g.cfg", {"scene_train": str(scene), "patch_size": "16"})
+        rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 3
+        assert f"mask labels must be 0/1, found [{value}]" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_divergent_training_exit_code(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "m.cfg",

@@ -1,13 +1,16 @@
 """Random-forest behavior against independent oracles.
 
-The central check re-implements prediction as a scalar recursive tree walk
-and compares it with the vectorized batch path; structural properties
-(importances, depth bounds, determinism) are verified on datasets whose
-correct behavior is known by construction.
+Prediction is checked against a scalar recursive tree walk, and fitting
+against a reference grower that copies each bootstrap (``x[rows]``) and
+argsorts every candidate column at every node: the presorted, count-weighted
+scan of ``rf_fit`` must grow bitwise-identical trees and importances.
+Structural properties (importances, depth bounds, determinism) are verified
+on datasets whose correct behavior is known by construction.
 """
 
 import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +21,8 @@ from burnmap.forest import (
     MAX_DEPTH,
     DecisionTree,
     RandomForestModel,
-    _best_split,
     _grow_tree,
+    _scan_node,
     load_forest,
     rf_fit,
     rf_predict,
@@ -27,6 +30,7 @@ from burnmap.forest import (
 )
 from burnmap.metrics import accumulate, compute_metrics
 from burnmap.modelio import pack_blocks
+from burnmap.seeding import rng_for
 
 
 def leaf_of(tree: DecisionTree, vec: np.ndarray) -> int:
@@ -59,6 +63,110 @@ def _with(arr: np.ndarray, index: int, value) -> np.ndarray:
     arr = arr.copy()
     arr[index] = value
     return arr
+
+
+def reference_best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int, parent_gini: float):
+    """Best (decrease, column, threshold) over the columns of the node's
+    expanded rows xs, or None: one stable argsort per column, first column
+    then smallest left block on ties."""
+    n = xs.shape[0]
+    best = None
+    sizes_l = np.arange(1, n, dtype=np.float64)
+    sizes_r = n - sizes_l
+    for j in range(xs.shape[1]):
+        order = np.argsort(xs[:, j], kind="stable")
+        vs = xs[order, j]
+        cum = np.cumsum(ys[order], dtype=np.float64)[:-1]
+        valid = (vs[:-1] < vs[1:]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
+        if not valid.any():
+            continue
+        pl = cum / sizes_l
+        pr = (cum[-1] + ys[order[-1]] - cum) / sizes_r
+        weighted = (sizes_l * 2.0 * pl * (1.0 - pl) + sizes_r * 2.0 * pr * (1.0 - pr)) / n
+        decrease = np.where(valid, parent_gini - weighted, -np.inf)
+        i = int(np.argmax(decrease))
+        if best is None or decrease[i] > best[0]:
+            thr = (vs[i] + vs[i + 1]) / 2.0
+            best = (float(decrease[i]), j, float(thr if thr < vs[i + 1] else vs[i]))
+    return best
+
+
+def reference_grow_tree(x, y, rng, max_depth, min_leaf, n_total, importances) -> DecisionTree:
+    """One tree grown on its bootstrap copy (x, y) = (x[rows], y[rows])."""
+    d = x.shape[1]
+    k = math.ceil(math.sqrt(d))
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(burnt_fraction: float) -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(burnt_fraction)
+        return len(feature) - 1
+
+    def grow(rows: np.ndarray, depth: int) -> int:
+        n = rows.size
+        pos = int(y[rows].sum())
+        node = new_node(pos / n)
+        if depth >= max_depth or n < 2 * min_leaf or pos in (0, n):
+            return node
+        candidates = rng.choice(d, size=k, replace=False)
+        p = pos / n
+        split = reference_best_split(
+            x[rows][:, candidates], y[rows], min_leaf, 2.0 * p * (1.0 - p)
+        )
+        if split is None or split[0] <= 0.0:
+            return node
+        decrease, col, thr = split
+        feat = int(candidates[col])
+        importances[feat] += (n / n_total) * decrease
+        go_left = x[rows, feat] <= thr
+        feature[node] = feat
+        threshold[node] = thr
+        left[node] = grow(rows[go_left], depth + 1)
+        right[node] = grow(rows[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(x.shape[0]), 0)
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def reference_fit(x, y, seed: int, n_trees: int, max_depth: int, min_leaf: int):
+    """(trees, importances) from bootstrap copies, with rf_fit's generator draws."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y).astype(np.int64)
+    n, d = x.shape
+    importances = np.zeros(d, dtype=np.float64)
+    trees = []
+    for t in range(n_trees):
+        rng = rng_for(seed, f"tree/{t}")
+        rows = rng.integers(0, n, size=n)
+        trees.append(reference_grow_tree(x[rows], y[rows], rng, max_depth, min_leaf, n, importances))
+    total = importances.sum()
+    if total > 0:
+        importances /= total
+    return trees, importances
+
+
+def presorted(x: np.ndarray):
+    """The (d, n) float64 feature block and its stable per-column order."""
+    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+    return xt, np.argsort(xt, axis=1, kind="stable").astype(np.int32)
+
+
+def scan(xs: np.ndarray, ys: np.ndarray, min_leaf: int, parent_gini: float):
+    """``_scan_node`` over every column of xs, each row counted once."""
+    xt, order = presorted(xs)
+    n, k = xs.shape
+    ones = np.ones(n, dtype=np.int32)
+    return _scan_node(xt, order, ys.astype(np.int32), ones, np.arange(k), min_leaf, parent_gini)
 
 
 def _leaf_only_tree(fraction: float) -> DecisionTree:
@@ -196,9 +304,9 @@ class TestFitBehaviour:
         assert as_bytes(a) != as_bytes(c)
 
     def test_fit_leaves_no_reference_cycles(self):
-        """Each tree's bootstrap copy of x is freed when the tree is done, not
-        held by a garbage cycle until the collector runs (2 MB per tree at
-        the ml-run default of 4000 pixels x 61 features)."""
+        """Each tree's recursive grower, a closure that refers to itself, is
+        released with the generator and node lists it holds when the tree is
+        done, instead of waiting in a garbage cycle for the collector."""
         x, y = separable_clusters(seed=40, n=200)
         gc.collect()
         gc.disable()
@@ -229,7 +337,7 @@ class TestSplitSearch:
     def test_threshold_lies_between_the_scored_blocks(self):
         xs = np.array([[0.0], [1.0], [2.0], [3.0]])
         ys = np.array([0, 0, 1, 1])
-        assert _best_split(xs, ys, min_leaf=1, parent_gini=0.5) == (0.5, 0, 1.5)
+        assert scan(xs, ys, min_leaf=1, parent_gini=0.5) == (0.5, 0, 1.5)
 
     def test_adjacent_values_split_between_them(self):
         # lo has an odd last mantissa bit, so the midpoint rounds up onto hi.
@@ -237,7 +345,7 @@ class TestSplitSearch:
         hi = float(np.nextafter(lo, 2.0))
         assert (lo + hi) / 2.0 == hi
         xs = np.array([[lo], [lo], [hi], [hi]])
-        decrease, _, thr = _best_split(xs, np.array([0, 0, 1, 1]), 1, 0.5)
+        decrease, _, thr = scan(xs, np.array([0, 0, 1, 1]), 1, 0.5)
         assert decrease == 0.5 and lo <= thr < hi
 
     def test_applied_split_is_the_scored_split(self):
@@ -250,7 +358,7 @@ class TestSplitSearch:
             xs = rng.integers(0, 6, (n, 3)).astype(np.float64)
             ys = rng.integers(0, 2, n)
             min_leaf = int(rng.integers(1, 5))
-            split = _best_split(xs, ys, min_leaf, gini(ys))
+            split = scan(xs, ys, min_leaf, gini(ys))
             if split is None:
                 continue
             decrease, col, thr = split
@@ -265,12 +373,52 @@ class TestSplitSearch:
         rng = np.random.default_rng(43)
         x = rng.standard_normal((300, 5))
         y = (x[:, 0] + rng.standard_normal(300) > 0).astype(np.int64)
+        xt, order = presorted(x)
         for _ in range(20):
             rows = rng.integers(0, 300, size=300)
-            xb, yb = x[rows], y[rows]
-            tree = _grow_tree(xb, yb, rng, MAX_DEPTH, 5, 300, np.zeros(5))
+            xb = x[rows]
+            drawn = np.bincount(rows, minlength=300).astype(np.int32)
+            tree = _grow_tree(xt, order, y.astype(np.int32), drawn, rng, MAX_DEPTH, 5, np.zeros(5))
             counts = np.bincount([leaf_of(tree, v) for v in xb], minlength=tree.feature.size)
             assert counts[tree.feature < 0].min() >= 5
+
+
+class TestPresortedScanOracle:
+    """rf_fit against reference_fit, bitwise: every node array of every tree
+    and the importances."""
+
+    @staticmethod
+    def assert_same_forest(x, y, seed, n_trees, max_depth, min_leaf):
+        model = rf_fit(x, y, seed, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf)
+        trees, importances = reference_fit(x, y, seed, n_trees, max_depth, min_leaf)
+        assert model.feature_importances.tobytes() == importances.tobytes()
+        for got, want in zip(model.trees, trees, strict=True):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        return model
+
+    @pytest.mark.parametrize("values", ["continuous", "ties"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    def test_random_cases(self, values, dtype, min_leaf):
+        rng = np.random.default_rng([min_leaf, np.dtype(dtype).itemsize, len(values)])
+        for n, max_depth in ((2, 30), (3, 2), (7, 30), (60, 4), (250, 30), (250, 12)):
+            d = int(rng.integers(1, 10))
+            x = rng.standard_normal((n, d))
+            if values == "ties":
+                x = np.round(x * 1.5)  # about 7 distinct values per column
+            y = (x[:, 0] + rng.standard_normal(n) > 0).astype(np.uint8)
+            y[:2] = 0, 1
+            seed = int(rng.integers(1 << 30))
+            self.assert_same_forest(x.astype(dtype), y, seed, 4, max_depth, min_leaf)
+
+    def test_bootstraps_of_a_single_distinct_row(self):
+        x = np.array([[0.25], [0.75]])
+        y = np.array([0, 1], dtype=np.uint8)
+        model = self.assert_same_forest(x, y, 7, 40, 30, 1)
+        sizes = [tree.feature.size for tree in model.trees]
+        assert 1 in sizes and 3 in sizes  # a one-row bootstrap is a pure leaf
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Patch data model: invariants, clipping, tiling, patch balancing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,25 @@ class TestGroundTruthMask:
     def test_non_binary_rejected(self):
         with pytest.raises(DataError, match="0/1"):
             GroundTruthMask(np.array([[0, 2]], dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "labels, found",
+        [
+            (np.array([[256, 1], [0, 1]]), "[256]"),  # a uint8 cast would read 0
+            (np.array([[0.5, 1.0]]), "[0.5]"),  # a uint8 cast would read 0
+            (np.array([[-1, 0]], dtype=np.int8), "[-1]"),
+            (np.array([[np.nan, 1.0]]), "[nan]"),
+        ],
+    )
+    def test_values_are_checked_before_the_cast(self, labels, found):
+        with pytest.raises(DataError, match=re.escape(f"0/1, found {found}")):
+            GroundTruthMask(labels)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32])
+    def test_binary_labels_of_any_dtype_become_uint8(self, dtype):
+        m = GroundTruthMask(np.array([[1, 0], [0, 1]], dtype=dtype))
+        assert m.labels.dtype == np.uint8
+        assert m.labels.tolist() == [[1, 0], [0, 1]]
 
     def test_positive_pixels(self):
         m = GroundTruthMask(np.array([[1, 0], [1, 1]], dtype=np.uint8))

@@ -143,6 +143,8 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    # The closure is kept only when some parent requires a gradient, so the
+    # closure of a one-parent op never needs to check its parent.
     out = Tensor(data)
     needy = tuple(p for p in parents if p.requires_grad)
     if _GRAD_ENABLED and needy:
@@ -285,7 +287,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = x.data.reshape(shape)
 
     def backward(flow):
-        return [(x, flow.reshape(x.data.shape))] if x.requires_grad else []
+        return [(x, flow.reshape(x.data.shape))]
 
     return _make(data, (x,), backward)
 
@@ -314,7 +316,7 @@ def relu(x: Tensor) -> Tensor:
     data = np.fmax(x.data, 0)
 
     def backward(flow):
-        return [(x, flow * (data > 0))] if x.requires_grad else []
+        return [(x, flow * (data > 0))]
 
     return _make(data, (x,), backward)
 
@@ -339,7 +341,7 @@ def sigmoid(x: Tensor) -> Tensor:
     data = sigmoid_forward(x.data)
 
     def backward(flow):
-        return [(x, sigmoid_backward(flow, data))] if x.requires_grad else []
+        return [(x, sigmoid_backward(flow, data))]
 
     return _make(data, (x,), backward)
 
@@ -652,8 +654,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     data = x.data.mean(axis=(2, 3), keepdims=True, dtype=np.float64).astype(x.data.dtype)
 
     def backward(flow):
-        if not x.requires_grad:
-            return []
         return [(x, np.broadcast_to(flow / (h * w), x.data.shape).copy())]
 
     return _make(data, (x,), backward)
@@ -694,8 +694,6 @@ def upsample2x(x: Tensor) -> Tensor:
     data = uh @ x.data @ uw.T
 
     def backward(flow):
-        if not x.requires_grad:
-            return []
         return [(x, uh.T @ flow @ uw)]
 
     return _make(data, (x,), backward)
@@ -738,8 +736,6 @@ def loss_bce(yhat: Tensor, y) -> Tensor:
     data, p, inside = bce_forward(yhat.data, t)
 
     def backward(flow):
-        if not yhat.requires_grad:
-            return []
         return [(yhat, bce_backward(flow, t, p, inside))]
 
     return _make(data, (yhat,), backward)
@@ -763,8 +759,6 @@ def loss_focal(yhat: Tensor, y, alpha: float = 0.25, gamma: float = 2.0) -> Tens
     data = np.asarray(total / n, dtype=yhat.data.dtype)
 
     def backward(flow):
-        if not yhat.requires_grad:
-            return []
         dpt = at * (gamma * one_minus ** (gamma - 1.0) * np.log(pt) - one_minus**gamma / pt)
         sign = np.where(t == 1.0, 1.0, -1.0).astype(p.dtype)
         return [(yhat, flow * dpt * sign * inside / n)]
@@ -784,8 +778,6 @@ def loss_dice(yhat: Tensor, y) -> Tensor:
     data = np.asarray(1.0 - a / b, dtype=yhat.data.dtype)
 
     def backward(flow):
-        if not yhat.requires_grad:
-            return []
         dp = -(2.0 * t * b - a) / (b * b)
         return [(yhat, flow * dp.astype(yhat.data.dtype))]
 

@@ -18,7 +18,6 @@ bit-identical traces.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +30,10 @@ from .errors import ConfigError, DataError, DivergenceError
 from .metrics import MetricReport, accumulate, compute_metrics
 from .modelio import block_text, load_model, save_model, text_block
 from .rasters import ALL_BANDS, BandId, BitemporalSample, RasterPatch
-from .runconfig import format_fields, get_float, get_int, get_int_tuple, get_str, parse_fields
+from .runconfig import (
+    check_values, format_fields, fraction, get_bands, get_str, int_at_least, one_of,
+    parse_fields, positive_float, positive_ints,
+)
 from .seeding import rng_for
 
 SHARING_MODES = ("siamese", "pseudo_siamese")
@@ -51,7 +53,6 @@ class BamCdConfig:
     skip_mode: str = "concat"
     scse_combine: str = "max"
     loss: str = "bce_dice"
-    optimizer: str = "adam"
     learning_rate: float = 0.001
     epochs: int = 250
     batch_size: int = 8
@@ -60,42 +61,19 @@ class BamCdConfig:
     focal_gamma: float = 2.0
 
     def __post_init__(self):
+        check_values(self, CONFIG_FIELDS)
         if len(self.widths) != len(self.blocks) or len(self.widths) < 2:
             raise ConfigError(
                 f"widths {self.widths} and blocks {self.blocks} must have equal length >= 2"
             )
-        if any(w < 1 for w in self.widths) or any(b < 1 for b in self.blocks):
-            raise ConfigError("stage widths and block counts must be positive")
-        if self.stem_width is not None and self.stem_width < 1:
-            raise ConfigError(f"stem width must be positive, got {self.stem_width}")
-        if not self.bands or len(set(self.bands)) != len(self.bands):
-            raise ConfigError(f"bands must be non-empty and unique, got {self.bands}")
-        if self.reduction < 1:
-            raise ConfigError(f"attention reduction must be >= 1, got {self.reduction}")
-        if self.sharing not in SHARING_MODES:
-            raise ConfigError(f"sharing must be one of {SHARING_MODES}, got {self.sharing!r}")
-        if self.skip_mode not in SKIP_MODES:
-            raise ConfigError(
-                f"skip_mode must be one of {SKIP_MODES}, got {self.skip_mode!r}"
-            )
-        if self.scse_combine not in COMBINE_MODES:
-            raise ConfigError(
-                f"scse_combine must be one of {COMBINE_MODES}, got {self.scse_combine!r}"
-            )
-        if self.loss not in ad.LOSSES:
-            raise ConfigError(f"loss must be one of {tuple(ad.LOSSES)}, got {self.loss!r}")
-        if self.optimizer != "adam":
-            raise ConfigError(f"only the adam optimizer is implemented, got {self.optimizer!r}")
-        if not self.learning_rate > 0:  # NaN included
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError(
-                f"epochs={self.epochs}, batch_size={self.batch_size} out of range"
-            )
-        if not 0 <= self.focal_alpha <= 1:  # NaN included
-            raise ConfigError(f"'focal_alpha' must be in [0, 1], got {self.focal_alpha}")
-        if not 0 < self.focal_gamma < math.inf:
-            raise ConfigError(f"'focal_gamma' must be finite and > 0, got {self.focal_gamma}")
+        # Only the focal loss reads focal_alpha and focal_gamma, so under another
+        # loss a changed value would do nothing: it is refused instead.
+        for key in ("focal_alpha", "focal_gamma"):
+            if self.loss != "focal" and getattr(self, key) != getattr(BamCdConfig, key):
+                raise ConfigError(
+                    f"config key {key!r}: only loss=focal reads it, got "
+                    f"{getattr(self, key)!r} with loss={self.loss!r}"
+                )
 
     @property
     def stem(self) -> int:
@@ -471,40 +449,36 @@ def predict_scene(
 # ---------------------------------------------------------------- persistence
 
 
-def _get_bands(config: dict[str, str], key: str) -> tuple[BandId, ...]:
-    try:
-        return tuple(BandId(b) for b in get_str(config, key).split(","))
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: unknown band in {config[key]!r}") from None
+_positive_int = int_at_least(1)
 
 
 def _get_stem_width(config: dict[str, str], key: str) -> int | None:
-    return get_int(config, key) if get_str(config, key) else None
+    return _positive_int(config, key) if get_str(config, key) else None
 
 
 def _joined(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-# Every BamCdConfig field in declaration order: (read from a key=value dict,
-# format as text). Checkpoint config text and dl-run overrides both use it.
+# Every BamCdConfig field in declaration order: (read and range-check from a
+# key=value dict, format as text). Checkpoint config text, dl-run overrides
+# and BamCdConfig's own check all use it.
 CONFIG_FIELDS = {
-    "widths": (get_int_tuple, _joined),
-    "blocks": (get_int_tuple, _joined),
+    "widths": (positive_ints, _joined),
+    "blocks": (positive_ints, _joined),
     "stem_width": (_get_stem_width, lambda v: "" if v is None else str(v)),
-    "bands": (_get_bands, lambda v: ",".join(b.value for b in v)),
-    "reduction": (get_int, str),
-    "sharing": (get_str, str),
-    "skip_mode": (get_str, str),
-    "scse_combine": (get_str, str),
-    "loss": (get_str, str),
-    "optimizer": (get_str, str),
-    "learning_rate": (get_float, repr),
-    "epochs": (get_int, str),
-    "batch_size": (get_int, str),
-    "seed": (get_int, str),
-    "focal_alpha": (get_float, repr),
-    "focal_gamma": (get_float, repr),
+    "bands": (get_bands, ",".join),
+    "reduction": (_positive_int, str),
+    "sharing": (one_of(*SHARING_MODES), str),
+    "skip_mode": (one_of(*SKIP_MODES), str),
+    "scse_combine": (one_of(*COMBINE_MODES), str),
+    "loss": (one_of(*ad.LOSSES), str),
+    "learning_rate": (positive_float, repr),
+    "epochs": (int_at_least(0), str),
+    "batch_size": (_positive_int, str),
+    "seed": (int_at_least(0), str),
+    "focal_alpha": (fraction, repr),
+    "focal_gamma": (positive_float, repr),
 }
 
 

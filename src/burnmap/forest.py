@@ -206,13 +206,15 @@ def rf_fit(
 
 
 def _tree_predict(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
-    node = np.zeros(x.shape[0], dtype=np.int32)
-    active = np.flatnonzero(tree.feature[node] >= 0)
+    # The tree stores int32; intp node indices take numpy's fast indexing path.
+    feature, left, right = (a.astype(np.intp) for a in (tree.feature, tree.left, tree.right))
+    node = np.zeros(x.shape[0], dtype=np.intp)
+    active = np.flatnonzero(feature[node] >= 0)
     while active.size:
         cur = node[active]
-        go_left = x[active, tree.feature[cur]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-        active = active[tree.feature[node[active]] >= 0]
+        go_left = x[active, feature[cur]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, left[cur], right[cur])
+        active = active[feature[node[active]] >= 0]
     return tree.value[node]
 
 

@@ -6,14 +6,17 @@ Each consumer declares its keys once, in a table of key -> reader
 ``read(config, key)`` (see ``reader``), which raises ConfigError naming the
 key when it is missing, does not parse or is out of range. A command's
 ``read_fields`` rejects keys outside its table, so a typo never falls back to
-a default.
+a default. A config dataclass checks its values through the same table
+(``check_values``), so a key's range lives in its reader alone.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError, read_text
+from .rasters import BandId
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -71,6 +74,12 @@ def parse_fields(text: str, fields: dict) -> dict:
     return {key: read(config, key) for key, (read, _) in fields.items()}
 
 
+def check_values(record, fields: dict) -> dict:
+    """``record``'s fields read back from their text form, so a value that its
+    reader refuses raises the ConfigError a config file or checkpoint would."""
+    return parse_fields(format_fields(record, fields), fields)
+
+
 def get_str(config: dict[str, str], key: str) -> str:
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
@@ -99,9 +108,18 @@ def int_list(value: str) -> tuple[int, ...]:
     return tuple(int(part) for part in value.split(","))
 
 
+def band_list(value: str) -> tuple[BandId, ...]:
+    return tuple(BandId(part) for part in value.split(","))
+
+
 get_int = reader(int, "an integer")
 get_float = reader(float, "a number")
 get_int_tuple = reader(int_list, "comma-separated integers")
+positive_ints = reader(int_list, "comma-separated positive integers", lambda v: min(v) >= 1)
+get_bands = reader(band_list, "comma-separated distinct band names", lambda v: len(set(v)) == len(v))
+positive_float = reader(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+nonnegative_float = reader(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+fraction = reader(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def one_of(*choices: str):

@@ -19,13 +19,13 @@ repeat runs measure seed variation and nothing else.
 
 from __future__ import annotations
 
-import math
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import bamcd
+from . import bamcd, synthetic
 from .errors import ConfigError, DataError, read_text
 from .features import (
     FeatureSchema,
@@ -50,15 +50,15 @@ from .metrics import (
 )
 from .mlp import mlp_fit, mlp_predict, save_mlp
 from .rasters import BandId, GroundTruthMask, RasterPatch, ingest_scene
-from .runconfig import get_str, int_at_least, int_list, one_of, read_fields, reader
+from .runconfig import (
+    get_str, int_at_least, one_of, positive_float, positive_ints, read_fields, reader,
+)
 from .seeding import derive_seed
 from .synthetic import SyntheticConfig, benchmark_config, generate_dataset, split_counts
 from .threshold import GRID_STEPS, evaluate_threshold, fit_threshold, get_index_kind
 
 FAMILY_ORDER = ("indices", "ml", "dl")
-
-_positive = reader(float, "a finite number > 0", lambda v: 0 < v < math.inf)
-_fraction = reader(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
+RUN_COLUMNS = ["method", "family", "repeat", "seed"]  # metrics.csv, before the metrics
 
 
 def _write(path: Path, text: str):
@@ -81,7 +81,7 @@ def _write_run_reports(
 ):
     """metrics.csv (one row per repeat) and report.txt (rows + mean/std)."""
     names = metric_names()
-    lines = [",".join(["method", "family", "repeat", "seed"] + names)]
+    lines = [",".join(RUN_COLUMNS + names)]
     for r, (seed, rep) in enumerate(zip(seeds, reports)):
         cells = [method, family, str(r), str(seed)]
         cells += [repr(v) for _, v in rep.as_row()]
@@ -109,16 +109,11 @@ def _write_run_reports(
 PRESETS = {"clean": SyntheticConfig, "benchmark": benchmark_config}
 SPLIT_KEYS = ("n_train", "n_val", "n_test")
 
-# Keys other than preset and events are SyntheticConfig fields.
-SYNTH_FIELDS = {
-    "preset": one_of(*PRESETS),
-    "events": int_at_least(3),
-    **dict.fromkeys(SPLIT_KEYS, int_at_least(0)),
-    "patch_size": int_at_least(8),
-    "noise": reader(float, "a finite number >= 0", lambda v: 0 <= v < math.inf),
-    **dict.fromkeys(("outlier_frac", "distractor_prob", "water_prob"), _fraction),
-    "burn_frac": reader(float, "a number in (0, 1]", lambda v: 0 < v <= 1),
-}
+# Every SyntheticConfig field but the bands can be set, plus preset and events.
+SYNTH_FIELDS = {"preset": one_of(*PRESETS), "events": int_at_least(3)}
+SYNTH_FIELDS.update(
+    (key, read) for key, (read, _) in synthetic.CONFIG_FIELDS.items() if key != "bands"
+)
 
 
 def _synthetic_config(config: dict[str, str]) -> SyntheticConfig:
@@ -146,7 +141,7 @@ SCENE_KEYS = ("scene_train", "scene_val", "scene_test")
 INGEST_FIELDS = {
     **dict.fromkeys(SCENE_KEYS, get_str),
     "patch_size": int_at_least(1),
-    "clip_max": _positive,
+    "clip_max": positive_float,
 }
 
 
@@ -155,12 +150,15 @@ def _load_scene(path: str):
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
-    except OSError as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:  # ValueError: a damaged .npy
         raise DataError(f"cannot read scene file {path}: {exc}") from exc
     for required in ("bands", "pre", "post", "truth"):
         if required not in arrays:
             raise DataError(f"scene file {path} is missing array {required!r}")
-    bands = tuple(BandId(str(b)) for b in arrays["bands"])
+    try:
+        bands = tuple(BandId(str(b)) for b in arrays["bands"])
+    except (TypeError, ValueError) as exc:  # a 0-d array, or a name that is not a band
+        raise DataError(f"scene file {path}: array 'bands': {exc}") from None
     return (
         RasterPatch(bands, arrays["pre"]),
         RasterPatch(bands, arrays["post"]),
@@ -200,6 +198,8 @@ def cmd_index_eval(config: dict[str, str], out_dir: Path, seed: int) -> MetricRe
     fields = read_fields(config, INDEX_EVAL_FIELDS, "index-eval", ("manifest", "index"))
     kind = fields["index"]
     manifest = read_manifest(fields["manifest"])
+    if not manifest.by_split("train") or not manifest.by_split("test"):
+        raise DataError("index-eval needs non-empty train and test splits")
     model = fit_threshold(kind, load_split(manifest, "train"), fields.get("steps", GRID_STEPS))
     _, report = evaluate_threshold(model, load_split(manifest, "test"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,10 +229,10 @@ FIT_FIELDS = {
         "rf_min_leaf": ("min_leaf", int_at_least(1)),
     },
     "mlp": {
-        "mlp_hidden": ("widths", reader(int_list, "integer widths >= 1", lambda v: min(v) >= 1)),
+        "mlp_hidden": ("widths", positive_ints),
         "mlp_epochs": ("epochs", int_at_least(1)),
         "mlp_batch": ("batch_size", int_at_least(1)),
-        "mlp_lr": ("learning_rate", _positive),
+        "mlp_lr": ("learning_rate", positive_float),
     },
 }
 
@@ -340,13 +340,11 @@ def cmd_ml_run(
 
 PROFILES = {"mini": bamcd.mini_config, "paperlike": bamcd.paperlike_config}
 
-# Every BamCdConfig field but the bands (taken from the data), the optimizer
-# (Adam only) and the seed (--seed) can be overridden.
+# Every BamCdConfig field but the bands (taken from the data) and the seed
+# (--seed) can be overridden.
 DL_FIELDS = {"manifest": get_str, "profile": one_of(*PROFILES)}
 DL_FIELDS.update(
-    (key, read)
-    for key, (read, _) in bamcd.CONFIG_FIELDS.items()
-    if key not in ("bands", "optimizer", "seed")
+    (key, read) for key, (read, _) in bamcd.CONFIG_FIELDS.items() if key not in ("bands", "seed")
 )
 
 
@@ -363,7 +361,7 @@ def cmd_dl_run(
     fields = read_fields(config, DL_FIELDS, "dl-run", ("manifest",))
     profile = fields.pop("profile", "mini")
     manifest_path = fields.pop("manifest")
-    replace(PROFILES[profile](), **fields)  # BamCdConfig checks every value before any data
+    base = PROFILES[profile](**fields)  # BamCdConfig checks every value before any data
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     manifest = read_manifest(manifest_path)
@@ -373,7 +371,7 @@ def cmd_dl_run(
     if not train_split or not val_split or not test_split:
         raise DataError("dl-run needs non-empty train, val and test splits")
 
-    base = replace(PROFILES[profile](), bands=tuple(train_split[0].pre.bands), **fields)
+    base = replace(base, bands=tuple(train_split[0].pre.bands))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[MetricReport] = []
@@ -396,33 +394,37 @@ def cmd_dl_run(
 # ----------------------------------------------------------------- report
 
 
-def _read_metrics_csv(path: Path) -> list[dict[str, str]]:
+def _read_metrics_csv(path: Path, names: list[str]) -> list[tuple[str, str, list[float]]]:
+    """(family, method, metric values) per row of a ``_write_run_reports`` table."""
     lines = read_text(path).splitlines()
-    if not lines:
-        raise DataError(f"{path} is empty")
-    header = lines[0].split(",")
+    header = RUN_COLUMNS + names
+    if not lines or lines[0].split(",") != header:
+        raise DataError(f"{path}: header is not {','.join(header)}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise DataError(f"{path}: row has {len(cells)} cells, header {len(header)}")
-        rows.append(dict(zip(header, cells)))
+            raise DataError(f"{path}:{lineno}: row has {len(cells)} cells, header {len(header)}")
+        values = []
+        for name, cell in zip(names, cells[len(RUN_COLUMNS):]):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: {name} is not a number: {cell!r}") from None
+        rows.append((cells[1], cells[0], values))
     return rows
 
 
 def cmd_report(run_dirs: list[Path], out_dir: Path) -> str:
     """Merge run metrics into one table; best mean burnt F1/IoU in *bold*."""
-    rows: list[dict[str, str]] = []
+    names = metric_names()
+    grouped: dict[tuple[str, str], list[list[float]]] = {}
     for d in run_dirs:
         path = Path(d) / "metrics.csv"
         if not path.exists():
             raise DataError(f"run directory {d} has no metrics.csv")
-        rows += _read_metrics_csv(path)
-
-    names = metric_names()
-    grouped: dict[tuple[str, str], list[dict[str, str]]] = {}
-    for row in rows:
-        grouped.setdefault((row["family"], row["method"]), []).append(row)
+        for family, method, values in _read_metrics_csv(path, names):
+            grouped.setdefault((family, method), []).append(values)
 
     def family_rank(family: str) -> int:
         return FAMILY_ORDER.index(family) if family in FAMILY_ORDER else len(FAMILY_ORDER)
@@ -430,9 +432,7 @@ def cmd_report(run_dirs: list[Path], out_dir: Path) -> str:
     ordered = sorted(grouped, key=lambda k: (family_rank(k[0]), k[1]))
     stats = {}
     for key in ordered:
-        values = np.array(
-            [[float(row[name]) for name in names] for row in grouped[key]], np.float64
-        )
+        values = np.array(grouped[key], np.float64)
         stats[key] = (values.mean(axis=0), values.std(axis=0))
 
     def best(metric: str):

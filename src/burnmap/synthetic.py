@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .rasters import ALL_BANDS, BandId, BitemporalSample, GroundTruthMask, RasterPatch
+from .runconfig import check_values, fraction, get_bands, int_at_least, nonnegative_float, reader
 from .seeding import rng_for
 
 VEGETATION_PROFILE: dict[BandId, float] = {
@@ -77,6 +78,7 @@ _DISTRACTOR_RADIUS = (0.08, 0.18)
 _DISTRACTOR_SHIFT = (0.50, 0.90)
 _SPIKE = (0.40, 0.90)
 _MAX_POLYGON_TRIES = 32
+_MIN_BURNT_PIXELS = 16  # land pixels a placed burn scar must cover
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,26 @@ class SyntheticConfig:
     distractor_prob: float = 0.0
     water_prob: float = 0.5
     burn_frac: float = 0.5
-    min_burnt_pixels: int = 16
 
     def __post_init__(self):
-        if self.patch_size < 8:
-            raise ConfigError(f"patch_size must be >= 8, got {self.patch_size}")
-        if not 0.0 < self.burn_frac <= 1.0:
-            raise ConfigError(f"burn_frac must be in (0, 1], got {self.burn_frac}")
-        for name in ("noise", "outlier_frac", "distractor_prob", "water_prob"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {v}")
+        object.__setattr__(self, "bands", check_values(self, CONFIG_FIELDS)["bands"])
         if not any(self.counts().values()):
             raise ConfigError("'n_train', 'n_val' and 'n_test' are all 0: no patches to generate")
-        object.__setattr__(self, "bands", tuple(BandId(b) for b in self.bands))
 
     def counts(self) -> dict[str, int]:
         return {"train": self.n_train, "val": self.n_val, "test": self.n_test}
+
+
+# Every SyntheticConfig field in declaration order: (read and range-check from
+# a key=value dict, format as text). synth's config keys come from it too.
+CONFIG_FIELDS = {
+    "patch_size": (int_at_least(8), str),
+    **dict.fromkeys(("n_train", "n_val", "n_test"), (int_at_least(0), str)),
+    "bands": (get_bands, ",".join),
+    "noise": (nonnegative_float, repr),
+    **dict.fromkeys(("outlier_frac", "distractor_prob", "water_prob"), (fraction, repr)),
+    "burn_frac": (reader(float, "a number in (0, 1]", lambda v: 0 < v <= 1), repr),
+}
 
 
 def benchmark_config(noise: float = 0.02) -> SyntheticConfig:
@@ -183,12 +188,12 @@ def _render(
     for _ in range(n_burn):
         for _attempt in range(_MAX_POLYGON_TRIES):
             scar = _star_mask(rng, height, width, _BURN_RADIUS)
-            if (scar & ~water).sum() >= cfg.min_burnt_pixels:
+            if (scar & ~water).sum() >= _MIN_BURNT_PIXELS:
                 burn |= scar
                 break
         else:
             raise DataError(
-                f"could not place a burn scar with >= {cfg.min_burnt_pixels} "
+                f"could not place a burn scar with >= {_MIN_BURNT_PIXELS} "
                 f"land pixels in a {height}x{width} scene"
             )
     truth = burn & ~water

@@ -408,3 +408,86 @@ class TestConfigValues:
         paragraph = _config_paragraphs()[command]
         missing = [key for key in COMMAND_FIELDS[command] if f"`{key}`" not in paragraph]
         assert missing == []
+
+
+class TestInputBoundaries:
+    """Damaged inputs exit 3 with a message naming the file; a config value
+    that would do nothing exits 2 before --out exists."""
+
+    @pytest.fixture
+    def index_run(self, dataset_dir, tmp_path, capsys) -> Path:
+        cfg = write_config(
+            tmp_path / "i.cfg", {"manifest": str(dataset_dir / "manifest.csv"), "index": "NBR"}
+        )
+        run = tmp_path / "run"
+        assert main(["index-eval", "--config", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        return run
+
+    def test_report_rejects_a_renamed_column(self, index_run, tmp_path, capsys):
+        path = index_run / "metrics.csv"
+        path.write_text(path.read_text().replace("iou_unburnt", "iou_unburnX"))
+        rc = main(["report", str(index_run), "--out", str(tmp_path / "summary")])
+        assert rc == 3
+        assert "metrics.csv: header is not method,family,repeat,seed," in capsys.readouterr().err
+        assert not (tmp_path / "summary").exists()
+
+    def test_report_rejects_a_metric_that_is_not_a_number(self, index_run, tmp_path, capsys):
+        path = index_run / "metrics.csv"
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[5] = "abc"
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        rc = main(["report", str(index_run), "--out", str(tmp_path / "summary")])
+        assert rc == 3
+        assert "metrics.csv:2: recall_unburnt is not a number: 'abc'" in capsys.readouterr().err
+
+    def _scene(self, path: Path, bands) -> Path:
+        pre, post, truth, water = generate_scene(SyntheticConfig(patch_size=16), 2, 32, 32)
+        np.savez(path, bands=np.array(bands), pre=pre.data, post=post.data,
+                 truth=truth.labels, water=water)
+        return path
+
+    def _ingest(self, scene: Path, tmp_path) -> int:
+        cfg = write_config(tmp_path / "g.cfg", {"scene_train": str(scene), "patch_size": "16"})
+        rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+        return rc
+
+    def test_truncated_scene_archive_is_data_error(self, tmp_path, capsys):
+        scene = self._scene(tmp_path / "scene.npz", [b.value for b in ALL_BANDS])
+        scene.write_bytes(scene.read_bytes()[:1000])
+        assert self._ingest(scene, tmp_path) == 3
+        assert f"cannot read scene file {scene}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bands, message",
+        [
+            ([b.value for b in ALL_BANDS[:-1]] + ["B99"], "'B99' is not a valid BandId"),
+            ("B02", "iteration over a 0-d array"),
+        ],
+        ids=["unknown-name", "0-d"],
+    )
+    def test_bad_scene_band_list_is_data_error(self, tmp_path, capsys, bands, message):
+        scene = self._scene(tmp_path / "scene.npz", bands)
+        assert self._ingest(scene, tmp_path) == 3
+        assert f"scene file {scene}: array 'bands': {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("empty", ["n_train", "n_test"])
+    def test_index_eval_rejects_an_empty_split(self, tmp_path, capsys, empty):
+        data = tmp_path / "data"
+        synth = write_config(tmp_path / "s.cfg", {**SYNTH_ITEMS, empty: "0"})
+        assert main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+        cfg = write_config(tmp_path / "i.cfg", {"manifest": str(data / "manifest.csv"), "index": "NBR"})
+        rc = main(["index-eval", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "index-eval needs non-empty train and test splits" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", [("focal_alpha", "0.9"), ("focal_gamma", "4.0")])
+    def test_dl_run_rejects_focal_keys_without_the_focal_loss(
+        self, dataset_dir, tmp_path, capsys, key, value
+    ):
+        items = {"manifest": str(dataset_dir / "manifest.csv"), key: value}
+        assert _run_config(tmp_path, "dl-run", items) == 2
+        assert f"config key '{key}': only loss=focal reads it" in capsys.readouterr().err

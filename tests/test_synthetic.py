@@ -1,5 +1,7 @@
 """Synthetic generator: profile oracles, corruption layers, split bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from burnmap.errors import ConfigError
 from burnmap.rasters import ALL_BANDS, BandId, ingest_scene
 from burnmap.synthetic import (
     BURNT_PROFILE,
+    CONFIG_FIELDS,
     VEGETATION_PROFILE,
     WATER_PROFILE,
     SyntheticConfig,
@@ -151,3 +154,36 @@ class TestScene:
     def test_scene_too_small(self):
         with pytest.raises(ConfigError):
             generate_scene(SyntheticConfig(patch_size=64), seed=0, height=32, width=128)
+
+
+class TestConfigFieldRanges:
+    # One out-of-range value per field, among them four that a per-field
+    # if-chain once let through: an infinite noise, an outlier fraction of
+    # 5, a negative split count and a water probability of 2.
+    BAD = {
+        "patch_size": 4,
+        "n_train": -1,
+        "n_val": -1,
+        "n_test": -1,
+        "bands": (BandId.B04, BandId.B04),
+        "noise": float("inf"),
+        "outlier_frac": 5.0,
+        "distractor_prob": -0.1,
+        "water_prob": 2.0,
+        "burn_frac": 0.0,
+    }
+
+    def test_table_lists_every_field_in_order(self):
+        fields = [f.name for f in dataclasses.fields(SyntheticConfig)]
+        assert list(CONFIG_FIELDS) == fields
+        assert list(self.BAD) == fields
+
+    @pytest.mark.parametrize("key", list(BAD))
+    def test_out_of_range_field_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}': expected"):
+            dataclasses.replace(CLEAN, **{key: self.BAD[key]})
+
+    def test_band_names_become_band_ids(self):
+        cfg = dataclasses.replace(CLEAN, bands=("B04", "B12"))
+        assert cfg.bands == (BandId.B04, BandId.B12)
+        assert all(type(b) is BandId for b in cfg.bands)

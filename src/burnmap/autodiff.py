@@ -24,13 +24,12 @@ changed in place between forward and backward would give wrong gradients.
 Convolution, the hot path of training, is shift-and-accumulate rather than
 im2col: ``conv2d`` pads its input into a channels-last buffer and runs each
 kernel tap as a 1x1 GEMM over a shifted block of that buffer, so no
-kh*kw-times column matrix is built. At stride 1 the forward and the input
-gradient run those GEMMs chunk by chunk of about a thousand rows, all taps
-per chunk, so each chunk stays in cache. The chunks avoid one-row GEMMs
-and transposed operands, which round differently, so that the network's
-layers give the bits of one full-height GEMM per tap. The padded buffer is
-not kept for backward: the kernel gradient rebuilds it from the input's
-``data`` (see ``conv2d``).
+kh*kw-times column matrix is built. At stride 1 one tap loop, ``_tap_sum``,
+serves both the forward pass and the input gradient, which is the
+transposed convolution of the flow. It runs the GEMMs chunk by chunk of
+about a thousand rows, all taps per chunk, so each chunk stays in cache.
+The padded buffer is not kept for backward: the kernel gradient rebuilds it
+from the input's ``data`` (see ``conv2d``).
 
 Batch norm is one fused node: ``batchnorm`` optionally adds a ``shortcut``
 tensor and rectifies (``relu=True``) in place on its one output array, so
@@ -42,6 +41,7 @@ its backward takes the rectifier mask from the output's sign (see
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -381,48 +381,57 @@ def _row_chunks(m: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _tap_sum(src: np.ndarray, pairs: list[tuple[int, np.ndarray]], out: np.ndarray):
+    """Stride-1 shift-and-accumulate over rows: out[r] = the sum of
+    src[r + off] @ tap over the (row offset, C-contiguous tap) ``pairs``, in
+    list order, for r in [0, m), m being len(src) less the largest offset.
+
+    Cache-blocked (Goto & van de Geijn, 2008): each of the ``_row_chunks``
+    runs every pair's GEMM into a chunk-sized partial sum while its input
+    rows are still in L2. A row gets the bits of one full-height GEMM per
+    pair, since OpenBLAS computes a row against a C-contiguous right operand
+    the same way whatever the row count, except that a one-row GEMM takes
+    the matrix-vector path. Where OpenBLAS picks another kernel for the
+    full-height product, the last bit can differ: seen with 32 or more
+    kernels over a few channels, some float64 channel counts, and one input
+    channel.
+    """
+    chunks = _row_chunks(len(src) - max(off for off, _ in pairs))
+    part = np.empty((max(hi - lo for lo, hi in chunks), out.shape[1]), out.dtype)
+    for lo, hi in chunks:
+        for k, (off, tap) in enumerate(pairs):
+            dst = out[lo:hi] if k == 0 else part[: hi - lo]
+            np.matmul(src[lo + off : hi + off], tap, out=dst)
+            if k:
+                out[lo:hi] += dst
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with (F,C,kh,kw) kernels, zero padded.
 
-    Shift-and-accumulate: the input is padded into a channels-last
-    buffer ``xp`` of shape (N,Hp,Wp,C), and each of the kh*kw kernel taps
-    runs as one GEMM of a (pixels, C) block of ``xp`` against that tap's
-    (C,F) weights, accumulated into the output. At stride 1 the block of tap
-    (i, j) is the row range starting at ``i*Wp + j`` of ``xp`` viewed as
-    (N*Hp*Wp, C): no tap is copied, the output is computed on the padded
-    grid and cropped to (Ho, Wo), and the grid's border rows are wasted
+    Shift-and-accumulate: the input is padded into a channels-last buffer
+    ``xp`` (N,Hp,Wp,C), and each of the kh*kw taps runs as one GEMM of a
+    (pixels, C) block of ``xp`` against its (C,F) weights, accumulated into
+    the output. At stride 1 the block of tap (i, j) is the rows from
+    i*Wp + j on of ``xp`` viewed as (N*Hp*Wp, C), which ``_tap_sum`` sums on
+    the padded grid before the crop to (Ho, Wo); the border rows are wasted
     work. At stride 2 each tap's strided slice of ``xp`` is copied; it is a
     quarter of the input.
 
-    At stride 1 the loops are cache-blocked (Goto & van de Geijn, 2008).
-    The output rows are cut into chunks of ``_CHUNK_ROWS`` (see
-    ``_row_chunks``), and each chunk runs all kh*kw taps, each GEMM into a
-    chunk-sized partial sum that is then added in, while the chunk's input
-    rows are still in L2. The input gradient is blocked the same way in
-    gather form (see ``_gather_input_grad``). Every row gets the same
-    products, added in the same order, as under one full-height GEMM per
-    tap. OpenBLAS computes a GEMM row against a C-contiguous right operand
-    the same way whatever the row count, with two exceptions that the loops
-    avoid. A one-row GEMM takes the matrix-vector path and rounds
-    differently, so no chunk and no gathered piece has one row. A transposed
-    right operand (``tap.T``) rounds differently at small row counts, so the
-    gather multiplies a part of a tap by a C-contiguous (kh,kw,F,C) copy of
-    the taps. With OpenBLAS 0.3.31 on an AVX-512 CPU, every float32 layer
-    shape of the network gives the unblocked loop's bits. Where OpenBLAS
-    picks another kernel for the full-height product than for a chunk, the
-    last bit can differ: seen with 32 or more kernels over a few channels,
-    with some float64 channel counts, and with one input channel. Stride 2
-    and the kernel gradient run as one GEMM per tap over all rows.
+    Backward scatters the output gradient into the same grid. If the kernel
+    needs a gradient, it rebuilds ``xp`` from ``x.data``, takes each tap's
+    kernel gradient as one GEMM over all rows, block.T @ grad, and frees
+    ``xp`` again. The stride-1 input gradient is the transposed convolution
+    (Dumoulin & Visin, 2016), run by ``_tap_sum`` on the same grad rows: with
+    (kh-1)*Wp + kw-1 zero rows in front, the (F,C) taps read them at the
+    rotated offsets (kh-1-i)*Wp + (kw-1-j), in forward tap order, which
+    gives every padded input row. At stride 2 the input gradient adds
+    grad @ tap.T into a zeroed padded buffer.
 
-    ``xp`` is freed before the node is returned: the closure keeps the
-    input and kernel tensors, the per-tap weights and shape scalars, and no
-    input-sized buffer of its own. Backward scatters the output gradient
-    into the same grid. If the kernel needs a gradient, it rebuilds ``xp``
-    from ``x.data``, takes each tap's kernel gradient as block.T @ grad, and
-    frees ``xp`` again; the input gradient then accumulates grad @ tap.T
-    into a zeroed padded buffer. The rebuilt ``xp`` equals the forward one,
-    and so do the GEMMs it feeds, only because ``x.data`` is never mutated
-    between forward and backward (the module convention).
+    ``xp`` is freed before the node is returned, so the closure holds no
+    input-sized buffer of its own. The rebuilt ``xp`` equals the forward
+    one only because ``x.data`` is never mutated between forward and
+    backward (the module convention).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -448,41 +457,41 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # every output pixel, and each tap's row range stays inside xp.
         m = n * hp * wp - (kh - 1) * wp - (kw - 1)
         grid_shape = (n, hp, wp, f)
-        chunks = _row_chunks(m)
 
-        def block(buf, i, j, lo=0, hi=m):  # rows [lo, hi) of tap (i, j): a view
+        def block(buf, i, j):  # the m rows of tap (i, j): a view
             off = i * wp + j
-            return buf.reshape(-1, c)[lo + off : hi + off]
+            return buf.reshape(-1, c)[off : off + m]
 
     else:
         m = n * ho * wo
         grid_shape = (n, ho, wo, f)
-        chunks = [(0, m)]
 
         def window(buf, i, j):
             return buf[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
 
-        def block(buf, i, j, lo=0, hi=m):  # all m rows of tap (i, j): a copy
+        def block(buf, i, j):  # the m rows of tap (i, j): a copy
             return window(buf, i, j).reshape(m, c)
 
     xp = _pad_channels_last(x.data, padding, dt)
     grid = np.empty(grid_shape, dt)  # rows past m are never read
     acc = grid.reshape(-1, f)
-    part = np.empty((max(hi - lo for lo, hi in chunks), f), dt)
-    for lo, hi in chunks:
+    if stride == 1:
+        _tap_sum(xp.reshape(-1, c), [(i * wp + j, taps[i, j]) for i, j in offsets], acc)
+    else:
+        part = np.empty((m, f), dt)
         for k, (i, j) in enumerate(offsets):
-            out = acc[lo:hi] if k == 0 else part[: hi - lo]
-            np.matmul(block(xp, i, j, lo, hi), taps[i, j], out=out)
+            np.matmul(block(xp, i, j), taps[i, j], out=part if k else acc)
             if k:
-                acc[lo:hi] += out
+                acc += part
     del xp
     data = np.ascontiguousarray(grid[:, :ho, :wo].transpose(0, 3, 1, 2))
 
     def backward(flow):
         out = []
-        g = np.zeros(grid_shape, dt)
-        g[:, :ho, :wo] = flow.transpose(0, 2, 3, 1)
-        g = g.reshape(-1, f)[:m]
+        front = (kh - 1) * wp + kw - 1 if stride == 1 else 0
+        rows = np.zeros((front + math.prod(grid_shape[:3]), f), dt)
+        rows[front:].reshape(grid_shape)[:, :ho, :wo] = flow.transpose(0, 2, 3, 1)
+        g = rows[front : front + m]
         if w.requires_grad:
             xp = _pad_channels_last(x.data, padding, dt)
             dtaps = np.empty((kh, kw, c, f), dt)
@@ -491,10 +500,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             del xp
             out.append((w, np.ascontiguousarray(dtaps.transpose(3, 2, 0, 1))))
         if x.requires_grad:
-            dxp = np.zeros((n, hp, wp, c), dt)
             if stride == 1:
-                _gather_input_grad(dxp.reshape(-1, c), g, taps, wp)
+                dxp = np.empty((n, hp, wp, c), dt)
+                taps_t = np.ascontiguousarray(taps.transpose(0, 1, 3, 2))  # (kh,kw,F,C)
+                pairs = [((kh - 1 - i) * wp + kw - 1 - j, taps_t[i, j]) for i, j in offsets]
+                _tap_sum(rows, pairs, dxp.reshape(-1, c))
             else:
+                dxp = np.zeros((n, hp, wp, c), dt)
                 part = np.empty((m, c), dt)
                 for i, j in offsets:
                     np.matmul(g, taps[i, j].T, out=part)
@@ -505,38 +517,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         return out
 
     return _make(data, (x, w), backward)
-
-
-def _gather_input_grad(dxp: np.ndarray, g: np.ndarray, taps: np.ndarray, wp: int):
-    """Add the stride-1 input gradient into the zeroed padded rows ``dxp``.
-
-    Row r of ``dxp`` takes g[r - off] @ tap.T from every tap whose row shift
-    ``off`` keeps r - off in [0, m). Chunk by chunk of ``dxp``, the taps are
-    added in order, as one full-height GEMM per tap would add them. A tap
-    whose rows all fall in one chunk runs as that GEMM, on the ``tap.T``
-    view. A part of a tap multiplies by the C-contiguous copy of ``tap.T``,
-    whose rows match the full-height GEMM's; a one-row part is computed
-    with a neighbouring row, so it is not a matrix-vector product.
-    """
-    kh, kw, c, f = taps.shape
-    taps_t = np.ascontiguousarray(taps.transpose(0, 1, 3, 2))  # (kh,kw,F,C)
-    m = len(g)
-    chunks = _row_chunks(len(dxp))
-    part = np.empty((max(hi - lo for lo, hi in chunks), c), dxp.dtype)
-    for lo, hi in chunks:
-        for i, j in itertools.product(range(kh), range(kw)):
-            off = i * wp + j
-            a, b = max(lo, off), min(hi, off + m)  # the dxp rows this tap reaches
-            if a >= b:
-                continue
-            if b - a == m:
-                s = 0
-                np.matmul(g, taps[i, j].T, out=part[:m])
-            else:
-                s = a - off if b - a > 1 else min(a - off, m - 2)
-                e = max(b - off, s + 2)
-                np.matmul(g[s:e], taps_t[i, j], out=part[: e - s])
-            dxp[a:b] += part[a - off - s : b - off - s]
 
 
 # ---------------------------------------------------------------- batch norm

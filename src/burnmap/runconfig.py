@@ -114,7 +114,6 @@ def band_list(value: str) -> tuple[BandId, ...]:
 
 get_int = reader(int, "an integer")
 get_float = reader(float, "a number")
-get_int_tuple = reader(int_list, "comma-separated integers")
 positive_ints = reader(int_list, "comma-separated positive integers", lambda v: min(v) >= 1)
 get_bands = reader(band_list, "comma-separated distinct band names", lambda v: len(set(v)) == len(v))
 positive_float = reader(float, "a finite number > 0", lambda v: 0 < v < math.inf)

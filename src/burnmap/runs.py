@@ -159,12 +159,15 @@ def _load_scene(path: str):
         bands = tuple(BandId(str(b)) for b in arrays["bands"])
     except (TypeError, ValueError) as exc:  # a 0-d array, or a name that is not a band
         raise DataError(f"scene file {path}: array 'bands': {exc}") from None
-    return (
-        RasterPatch(bands, arrays["pre"]),
-        RasterPatch(bands, arrays["post"]),
-        GroundTruthMask(arrays["truth"]),
-        arrays.get("water"),
-    )
+
+    def mask(name: str) -> GroundTruthMask:  # truth and water are both 0/1 masks
+        try:
+            return GroundTruthMask(arrays[name])
+        except DataError as exc:
+            raise DataError(f"scene file {path}: array {name!r}: {exc}") from None
+
+    pre, post = RasterPatch(bands, arrays["pre"]), RasterPatch(bands, arrays["post"])
+    return pre, post, mask("truth"), mask("water").labels if "water" in arrays else None
 
 
 def cmd_ingest(config: dict[str, str], out_dir: Path, seed: int) -> Path:
@@ -190,6 +193,16 @@ def cmd_ingest(config: dict[str, str], out_dir: Path, seed: int) -> Path:
 
 # -------------------------------------------------------------- index-eval
 
+
+def _checked_manifest(path: str, command: str, splits: tuple[str, ...]):
+    """The manifest at ``path`` once each of ``splits`` has rows; reads no patch."""
+    manifest = read_manifest(path)
+    if not all(manifest.by_split(split) for split in splits):
+        named = " and ".join([", ".join(splits[:-1]), splits[-1]])
+        raise DataError(f"{command} needs non-empty {named} splits")
+    return manifest
+
+
 INDEX_EVAL_FIELDS = {"manifest": get_str, "index": get_index_kind, "steps": int_at_least(2)}
 
 
@@ -197,9 +210,7 @@ def cmd_index_eval(config: dict[str, str], out_dir: Path, seed: int) -> MetricRe
     """Fit a delta-index threshold on train pixels; evaluate on test pixels."""
     fields = read_fields(config, INDEX_EVAL_FIELDS, "index-eval", ("manifest", "index"))
     kind = fields["index"]
-    manifest = read_manifest(fields["manifest"])
-    if not manifest.by_split("train") or not manifest.by_split("test"):
-        raise DataError("index-eval needs non-empty train and test splits")
+    manifest = _checked_manifest(fields["manifest"], "index-eval", ("train", "test"))
     model = fit_threshold(kind, load_split(manifest, "train"), fields.get("steps", GRID_STEPS))
     _, report = evaluate_threshold(model, load_split(manifest, "test"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,11 +298,9 @@ def cmd_ml_run(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     fit_args = {arg: fields[key] for key, (arg, _) in method_fields.items() if key in fields}
-    manifest = read_manifest(fields["manifest"])
+    manifest = _checked_manifest(fields["manifest"], "ml-run", ("train", "test"))
     train = load_split(manifest, "train")
     test = load_split(manifest, "test")
-    if not train or not test:
-        raise DataError("ml-run needs non-empty train and test splits")
 
     schema = _resolve_schema(variant, fields.get("mi_source"), train[0].pre.bands)
     positions = sample_pixels(train, fields.get("n_pixels", 4000), derive_seed(seed, "pixels"))
@@ -364,12 +373,10 @@ def cmd_dl_run(
     base = PROFILES[profile](**fields)  # BamCdConfig checks every value before any data
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    manifest = read_manifest(manifest_path)
+    manifest = _checked_manifest(manifest_path, "dl-run", ("train", "val", "test"))
     train_split = load_split(manifest, "train")
     val_split = load_split(manifest, "val")
     test_split = load_split(manifest, "test")
-    if not train_split or not val_split or not test_split:
-        raise DataError("dl-run needs non-empty train, val and test splits")
 
     base = replace(base, bands=tuple(train_split[0].pre.bands))
     out_dir.mkdir(parents=True, exist_ok=True)

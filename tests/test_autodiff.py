@@ -247,10 +247,17 @@ class TestConvReference:
 
 
 
-def conv2d_unblocked(x, w, seed, padding):
+def conv2d_unblocked(x, w, seed, padding, transposed=True):
     """Stride-1 shift-and-accumulate with one full-height GEMM per tap and
     no row chunks. Returns the output and the input and kernel gradients of
-    sum(out * seed), in the dtype of x."""
+    sum(out * seed), in the dtype of x.
+
+    With ``transposed`` the input gradient is the transposed convolution:
+    the seed on the output grid, after (k-1)*Wp + k-1 zero rows, runs one
+    GEMM per (F,C) tap at the rotated row offset (k-1-i)*Wp + (k-1-j), taps
+    in forward order. Without it, each tap adds seed @ tap.T into a padded
+    buffer, the gather form whose bits the network's layers keep.
+    """
     n, c, h, width = x.shape
     f, _, kh, kw = w.shape
     hp, wp = h + 2 * padding, width + 2 * padding
@@ -271,35 +278,41 @@ def conv2d_unblocked(x, w, seed, padding):
             acc += part
     out = np.ascontiguousarray(grid[:, :ho, :wo].transpose(0, 3, 1, 2))
 
-    g = np.zeros((n, hp, wp, f), x.dtype)
-    g[:, :ho, :wo] = seed.transpose(0, 2, 3, 1)
-    g = g.reshape(-1, f)[:m]
+    front = shifts[-1]
+    g_rows = np.zeros((front + n * hp * wp, f), x.dtype)
+    g_rows[front:].reshape(n, hp, wp, f)[:, :ho, :wo] = seed.transpose(0, 2, 3, 1)
+    g = g_rows[front : front + m]
     dtaps = np.empty((kh * kw, c, f), x.dtype)
-    dxp = np.zeros((n * hp * wp, c), x.dtype)
-    part = np.empty((m, c), x.dtype)
     for k, off in enumerate(shifts):
         np.matmul(rows[off : off + m].T, g, out=dtaps[k])
-        np.matmul(g, taps[k].T, out=part)
-        dxp[off : off + m] += part
-    dx = dxp.reshape(n, hp, wp, c)[:, padding : padding + h, padding : padding + width]
     dw = dtaps.reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+
+    dxp = np.zeros((n * hp * wp, c), x.dtype)
+    if transposed:
+        taps_t = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, f, c)
+        part = np.empty_like(dxp)
+        for k, off in enumerate(shifts):
+            rotated = front - off
+            np.matmul(g_rows[rotated : rotated + len(dxp)], taps_t[k], out=part if k else dxp)
+            if k:
+                dxp += part
+    else:
+        part = np.empty((m, c), x.dtype)
+        for k, off in enumerate(shifts):
+            np.matmul(g, taps[k].T, out=part)
+            dxp[off : off + m] += part
+    dx = dxp.reshape(n, hp, wp, c)[:, padding : padding + h, padding : padding + width]
     return out, dx.transpose(0, 3, 1, 2), dw
 
 
 def conv_piece_rows(n, h, width, k, padding):
     """Row counts of the stride-1 forward chunks and of the input-gradient
-    gather pieces (one per chunk of padded rows and tap that meet)."""
+    chunks, which cover every row of the padded grid."""
     hp, wp = h + 2 * padding, width + 2 * padding
     m = n * hp * wp - (k - 1) * wp - (k - 1)
     forward = [hi - lo for lo, hi in ad._row_chunks(m)]
-    shifts = [i * wp + j for i in range(k) for j in range(k)]
-    gather = [
-        min(hi, off + m) - max(lo, off)
-        for lo, hi in ad._row_chunks(n * hp * wp)
-        for off in shifts
-        if min(hi, off + m) > max(lo, off)
-    ]
-    return m, forward, gather
+    backward = [hi - lo for lo, hi in ad._row_chunks(n * hp * wp)]
+    return m, forward, backward
 
 
 class TestConvBlocking:
@@ -310,7 +323,7 @@ class TestConvBlocking:
     the full-height product. That holds for the network's float32 layers
     and for the shapes used here; where OpenBLAS picks another kernel for
     the full-height product, the last bit can differ (see
-    ``autodiff.conv2d``).
+    ``autodiff._tap_sum``).
     """
 
     @staticmethod
@@ -319,7 +332,7 @@ class TestConvBlocking:
         unsigned = f"u{got.itemsize}"
         np.testing.assert_array_equal(got.view(unsigned), want.view(unsigned))
 
-    def _check(self, shape, f, k, padding, dtype, seed):
+    def _check(self, shape, f, k, padding, dtype, seed, transposed=True):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(shape).astype(dtype)
         w = rng.standard_normal((f, shape[1], k, k)).astype(dtype)
@@ -327,7 +340,7 @@ class TestConvBlocking:
         out = ad.conv2d(xt, wt, padding=padding)
         grad = rng.standard_normal(out.data.shape).astype(dtype)
         out.backward(grad)
-        want = conv2d_unblocked(x, w, grad, padding)
+        want = conv2d_unblocked(x, w, grad, padding, transposed)
         for got, expected in zip((out.data, xt.grad, wt.grad), want):
             self._assert_same_bits(got, expected)
 
@@ -359,12 +372,14 @@ class TestConvBlocking:
         ],
     )
     def test_network_layers_match_unblocked(self, shape, f, k, padding):
-        self._check(shape, f, k, padding, np.float32, seed=f + shape[1])
+        """The network's layers keep the bits of the gather-form input
+        gradient that the transposed convolution replaced."""
+        self._check(shape, f, k, padding, np.float32, seed=f + shape[1], transposed=False)
 
     @pytest.mark.parametrize(
         "shape, f, k, dtype",
         [
-            # the tap at shift 0 reaches one row of the second chunk
+            # the forward's one-row tail joins the chunk before it
             ((1, 3, 39, 27), 4, 2, np.float32),
             ((1, 3, 39, 27), 4, 2, np.float64),
             ((1, 3, 39, 27), 16, 2, np.float32),
@@ -377,10 +392,11 @@ class TestConvBlocking:
         ],
     )
     def test_one_row_pieces_match_unblocked(self, shape, f, k, dtype):
-        m, forward, gather = conv_piece_rows(shape[0], shape[2], shape[3], k, 0)
-        assert 1 in gather or m % ad._CHUNK_ROWS == 1  # a one-row piece is avoided
-        assert 1 not in forward
+        m, forward, backward = conv_piece_rows(shape[0], shape[2], shape[3], k, 0)
+        assert m % ad._CHUNK_ROWS == 1  # a one-row chunk is avoided
+        assert 1 not in forward and 1 not in backward
         self._check(shape, f, k, 0, dtype, seed=f)
+
 
 class TestNormalizationGradients:
     def test_batchnorm_training(self):

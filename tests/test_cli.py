@@ -442,10 +442,10 @@ class TestInputBoundaries:
         assert rc == 3
         assert "metrics.csv:2: recall_unburnt is not a number: 'abc'" in capsys.readouterr().err
 
-    def _scene(self, path: Path, bands) -> Path:
-        pre, post, truth, water = generate_scene(SyntheticConfig(patch_size=16), 2, 32, 32)
+    def _scene(self, path: Path, bands, water=None) -> Path:
+        pre, post, truth, scene_water = generate_scene(SyntheticConfig(patch_size=16), 2, 32, 32)
         np.savez(path, bands=np.array(bands), pre=pre.data, post=post.data,
-                 truth=truth.labels, water=water)
+                 truth=truth.labels, water=scene_water if water is None else water)
         return path
 
     def _ingest(self, scene: Path, tmp_path) -> int:
@@ -472,6 +472,18 @@ class TestInputBoundaries:
         scene = self._scene(tmp_path / "scene.npz", bands)
         assert self._ingest(scene, tmp_path) == 3
         assert f"scene file {scene}: array 'bands': {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, found", [("x", "['x']"), (0.5, "[0.5]"), (300, "[300]")],
+        ids=["string", "half", "300"],
+    )
+    def test_non_binary_scene_water_is_data_error(self, tmp_path, capsys, value, found):
+        """A uint8 cast would read 0.5 as 0 and 300 as 44, and int() fails on a string."""
+        water = np.full((32, 32), value)
+        scene = self._scene(tmp_path / "scene.npz", [b.value for b in ALL_BANDS], water)
+        assert self._ingest(scene, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"scene file {scene}: array 'water': mask labels must be 0/1, found {found}" in err
 
     @pytest.mark.parametrize("empty", ["n_train", "n_test"])
     def test_index_eval_rejects_an_empty_split(self, tmp_path, capsys, empty):

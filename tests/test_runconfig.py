@@ -8,13 +8,13 @@ from burnmap.runconfig import (
     format_fields,
     get_float,
     get_int,
-    get_int_tuple,
     get_str,
     int_at_least,
     load_config,
     one_of,
     parse_config_text,
     parse_fields,
+    positive_ints,
     read_fields,
     reader,
 )
@@ -87,10 +87,10 @@ class TestGetters:
         with pytest.raises(ConfigError, match="'mode': expected one of"):
             one_of("a", "b")(self.CFG, "mode")
 
-    def test_get_int_tuple(self):
-        assert get_int_tuple(self.CFG, "widths") == (4, 8, 16)
+    def test_positive_ints(self):
+        assert positive_ints(self.CFG, "widths") == (4, 8, 16)
         with pytest.raises(ConfigError, match="comma-separated"):
-            get_int_tuple(self.CFG, "mode")
+            positive_ints(self.CFG, "mode")
 
     def test_reader_names_key_and_range(self):
         assert int_at_least(12)(self.CFG, "n") == 12

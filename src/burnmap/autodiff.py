@@ -22,14 +22,15 @@ them, and ``conv2d`` rebuilds its padded input from it, so an input array
 changed in place between forward and backward would give wrong gradients.
 
 Convolution, the hot path of training, is shift-and-accumulate rather than
-im2col: ``conv2d`` pads its input into a channels-last buffer and runs each
-kernel tap as a 1x1 GEMM over a shifted block of that buffer, so no
-kh*kw-times column matrix is built. At stride 1 one tap loop, ``_tap_sum``,
-serves both the forward pass and the input gradient, which is the
-transposed convolution of the flow. It runs the GEMMs chunk by chunk of
-about a thousand rows, all taps per chunk, so each chunk stays in cache.
-The padded buffer is not kept for backward: the kernel gradient rebuilds it
-from the input's ``data`` (see ``conv2d``).
+im2col: ``conv2d`` pads its input into a channels-last buffer split into its
+stride x stride phases and runs each kernel tap as a 1x1 GEMM over a
+shifted block of rows of one phase, so neither a kh*kw-times column matrix
+nor a strided copy is built. One tap loop, ``_tap_sum``, serves the forward
+pass and the input gradient of both strides; the input gradient is the
+transposed convolution of the flow, one loop per phase. It runs the GEMMs
+chunk by chunk of about a thousand rows, all taps per chunk, so each chunk
+stays in cache. The padded buffer is not kept for backward: the kernel
+gradient rebuilds it from the input's ``data`` (see ``conv2d``).
 
 Batch norm is one fused node: ``batchnorm`` optionally adds a ``shortcut``
 tensor and rectifies (``relu=True``) in place on its one output array, so
@@ -41,7 +42,6 @@ its backward takes the rectifier mask from the output's sign (see
 from __future__ import annotations
 
 import itertools
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -349,24 +349,45 @@ def sigmoid(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------- convolution
 
 
-def _pad_channels_last(x: np.ndarray, padding: int, dt) -> np.ndarray:
-    """(N,C,H,W) -> zero-padded channels-last (N,H+2p,W+2p,C) in dtype ``dt``.
+def _phases(stride: int, padding: int, h: int, w: int) -> list:
+    """For each phase (a, b) of the stride x stride split of the zero-padded
+    (H, W) input, in row-major order: the (rows, cols) slices of the input
+    that land in it and the (rows, cols) slices of the phase grid they fill.
+    Padded pixel (y, x) lands in phase (y mod s, x mod s) at (y div s, x div s)
+    (the periodic shuffle of Shi et al., 2016).
+    """
+
+    def axis(extent):  # (input slice, phase-grid slice) per phase of one axis
+        for a in range(stride):
+            first = (a - padding) % stride  # the first input row in phase a
+            at = (first + padding) // stride
+            yield slice(first, None, stride), slice(at, at + len(range(first, extent, stride)))
+
+    return [((ys, xs), (us, vs)) for (ys, us), (xs, vs) in itertools.product(axis(h), axis(w))]
+
+
+def _pad_channels_last(x: np.ndarray, padding: int, stride: int, dt) -> np.ndarray:
+    """(N,C,H,W) -> the stride x stride phases of its zero-padded
+    channels-last copy, (s*s, N, Hq, Wq, C) in dtype ``dt``, with
+    Hq = ceil((H+2p)/s) and Wq = ceil((W+2p)/s). At stride 1 this is the
+    padded buffer itself; grid cells past the padded input are zero too.
 
     Only the border is zeroed; the interior is written once, by the copy.
     """
     n, c, h, w = x.shape
-    p = padding
-    xp = np.empty((n, h + 2 * p, w + 2 * p, c), dt)
-    if p:
-        xp[:, :p] = 0
-        xp[:, p + h :] = 0
-        xp[:, p : p + h, :p] = 0
-        xp[:, p : p + h, p + w :] = 0
-    xp[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
-    return xp
+    hq, wq = -(-(h + 2 * padding) // stride), -(-(w + 2 * padding) // stride)
+    xq = np.empty((stride * stride, n, hq, wq, c), dt)
+    xt = x.transpose(0, 2, 3, 1)
+    for q, ((ys, xs), (us, vs)) in zip(xq, _phases(stride, padding, h, w)):
+        q[:, : us.start] = 0
+        q[:, us.stop :] = 0
+        q[:, us, : vs.start] = 0
+        q[:, us, vs.stop :] = 0
+        q[:, us, vs] = xt[:, ys, xs]
+    return xq
 
 
-_CHUNK_ROWS = 1024  # rows of one stride-1 block: its input, output and partial sum fit in L2
+_CHUNK_ROWS = 1024  # rows of one block: its input, output and partial sum fit in L2
 
 
 def _row_chunks(m: int) -> list[tuple[int, int]]:
@@ -382,9 +403,9 @@ def _row_chunks(m: int) -> list[tuple[int, int]]:
 
 
 def _tap_sum(src: np.ndarray, pairs: list[tuple[int, np.ndarray]], out: np.ndarray):
-    """Stride-1 shift-and-accumulate over rows: out[r] = the sum of
-    src[r + off] @ tap over the (row offset, C-contiguous tap) ``pairs``, in
-    list order, for r in [0, m), m being len(src) less the largest offset.
+    """Shift-and-accumulate over rows: out[r] = the sum of src[r + off] @ tap
+    over the (row offset, C-contiguous tap) ``pairs``, in list order, for
+    every row r of ``out``. Every offset must leave len(out) rows of src.
 
     Cache-blocked (Goto & van de Geijn, 2008): each of the ``_row_chunks``
     runs every pair's GEMM into a chunk-sized partial sum while its input
@@ -396,7 +417,7 @@ def _tap_sum(src: np.ndarray, pairs: list[tuple[int, np.ndarray]], out: np.ndarr
     kernels over a few channels, some float64 channel counts, and one input
     channel.
     """
-    chunks = _row_chunks(len(src) - max(off for off, _ in pairs))
+    chunks = _row_chunks(len(out))
     part = np.empty((max(hi - lo for lo, hi in chunks), out.shape[1]), out.dtype)
     for lo, hi in chunks:
         for k, (off, tap) in enumerate(pairs):
@@ -409,27 +430,29 @@ def _tap_sum(src: np.ndarray, pairs: list[tuple[int, np.ndarray]], out: np.ndarr
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with (F,C,kh,kw) kernels, zero padded.
 
-    Shift-and-accumulate: the input is padded into a channels-last buffer
-    ``xp`` (N,Hp,Wp,C), and each of the kh*kw taps runs as one GEMM of a
-    (pixels, C) block of ``xp`` against its (C,F) weights, accumulated into
-    the output. At stride 1 the block of tap (i, j) is the rows from
-    i*Wp + j on of ``xp`` viewed as (N*Hp*Wp, C), which ``_tap_sum`` sums on
-    the padded grid before the crop to (Ho, Wo); the border rows are wasted
-    work. At stride 2 each tap's strided slice of ``xp`` is copied; it is a
-    quarter of the input.
+    Shift-and-accumulate on a phase grid: the input is padded into the
+    channels-last stride x stride phases ``xq`` (s*s, N, Hq, Wq, C) of
+    ``_pad_channels_last``, so a stride-s correlation is a stride-1 one over
+    the phases (Dumoulin & Visin, 2016). Output pixel (b, y, x) is row
+    b*Hq*Wq + y*Wq + x of the (N, Hq, Wq, F) grid, and tap (i, j) reads phase
+    (i mod s, j mod s), (i div s)*Wq + (j div s) rows further on. Each tap
+    runs as one GEMM of those rows against its (C,F) weights, summed by
+    ``_tap_sum`` before the crop to (Ho, Wo); the rows past the crop are
+    wasted work. At stride 1 the one phase is the padded input.
 
-    Backward scatters the output gradient into the same grid. If the kernel
-    needs a gradient, it rebuilds ``xp`` from ``x.data``, takes each tap's
-    kernel gradient as one GEMM over all rows, block.T @ grad, and frees
-    ``xp`` again. The stride-1 input gradient is the transposed convolution
-    (Dumoulin & Visin, 2016), run by ``_tap_sum`` on the same grad rows: with
-    (kh-1)*Wp + kw-1 zero rows in front, the (F,C) taps read them at the
-    rotated offsets (kh-1-i)*Wp + (kw-1-j), in forward tap order, which
-    gives every padded input row. At stride 2 the input gradient adds
-    grad @ tap.T into a zeroed padded buffer.
+    Backward puts the output gradient on the same grid, after
+    front = ((kh-1) div s)*Wq + (kw-1) div s zero rows. If the kernel needs
+    a gradient, it rebuilds ``xq`` from ``x.data``, takes each tap's kernel
+    gradient as one GEMM over all grid rows, block.T @ grad, and frees
+    ``xq`` again. The input gradient is the transposed convolution, one
+    ``_tap_sum`` per phase: the phase's (F,C) taps read the gradient rows at
+    the rotated offsets front - (i div s)*Wq - (j div s), in forward tap
+    order, which gives every row of the phase; the rows inside the padding
+    go to dx. A phase that no tap reads (a 1x1 kernel at stride 2) gets a
+    zero gradient.
 
-    ``xp`` is freed before the node is returned, so the closure holds no
-    input-sized buffer of its own. The rebuilt ``xp`` equals the forward
+    ``xq`` is freed before the node is returned, so the closure holds no
+    input-sized buffer of its own. The rebuilt ``xq`` equals the forward
     one only because ``x.data`` is never mutated between forward and
     backward (the module convention).
     """
@@ -446,74 +469,51 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if hp < kh or wp < kw:
         raise ShapeError(f"conv2d: padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    hq, wq = -(-hp // stride), -(-wp // stride)
     dt = np.result_type(x.data, w.data)
     offsets = list(itertools.product(range(kh), range(kw)))
+    phase = [(i % stride) * stride + j % stride for i, j in offsets]
 
+    # Rows [0, m) of the grid hold every output pixel, and each tap's m
+    # rows stay inside xq.
+    size = n * hq * wq
+    front = (kh - 1) // stride * wq + (kw - 1) // stride
+    m = size - front
+    shifts = [q * size + i // stride * wq + j // stride for q, (i, j) in zip(phase, offsets)]
     taps = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dt)  # (kh,kw,C,F)
 
-    if stride == 1:
-        # Output pixel (b, y, x) is grid row b*Hp*Wp + y*Wp + x, and tap
-        # (i, j) reads the input row i*Wp + j further on. Rows [0, m) hold
-        # every output pixel, and each tap's row range stays inside xp.
-        m = n * hp * wp - (kh - 1) * wp - (kw - 1)
-        grid_shape = (n, hp, wp, f)
-
-        def block(buf, i, j):  # the m rows of tap (i, j): a view
-            off = i * wp + j
-            return buf.reshape(-1, c)[off : off + m]
-
-    else:
-        m = n * ho * wo
-        grid_shape = (n, ho, wo, f)
-
-        def window(buf, i, j):
-            return buf[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
-
-        def block(buf, i, j):  # the m rows of tap (i, j): a copy
-            return window(buf, i, j).reshape(m, c)
-
-    xp = _pad_channels_last(x.data, padding, dt)
-    grid = np.empty(grid_shape, dt)  # rows past m are never read
-    acc = grid.reshape(-1, f)
-    if stride == 1:
-        _tap_sum(xp.reshape(-1, c), [(i * wp + j, taps[i, j]) for i, j in offsets], acc)
-    else:
-        part = np.empty((m, f), dt)
-        for k, (i, j) in enumerate(offsets):
-            np.matmul(block(xp, i, j), taps[i, j], out=part if k else acc)
-            if k:
-                acc += part
-    del xp
+    xq = _pad_channels_last(x.data, padding, stride, dt).reshape(-1, c)
+    grid = np.empty((n, hq, wq, f), dt)  # rows past m are never read
+    pairs = [(off, taps[i, j]) for off, (i, j) in zip(shifts, offsets)]
+    _tap_sum(xq, pairs, grid.reshape(-1, f)[:m])
+    del xq
     data = np.ascontiguousarray(grid[:, :ho, :wo].transpose(0, 3, 1, 2))
 
     def backward(flow):
         out = []
-        front = (kh - 1) * wp + kw - 1 if stride == 1 else 0
-        rows = np.zeros((front + math.prod(grid_shape[:3]), f), dt)
-        rows[front:].reshape(grid_shape)[:, :ho, :wo] = flow.transpose(0, 2, 3, 1)
-        g = rows[front : front + m]
+        rows = np.zeros((front + size, f), dt)
+        rows[front:].reshape(n, hq, wq, f)[:, :ho, :wo] = flow.transpose(0, 2, 3, 1)
         if w.requires_grad:
-            xp = _pad_channels_last(x.data, padding, dt)
+            xq = _pad_channels_last(x.data, padding, stride, dt).reshape(-1, c)
+            g = rows[front : front + m]
             dtaps = np.empty((kh, kw, c, f), dt)
-            for i, j in offsets:
-                np.matmul(block(xp, i, j).T, g, out=dtaps[i, j])
-            del xp
+            for off, (i, j) in zip(shifts, offsets):
+                np.matmul(xq[off : off + m].T, g, out=dtaps[i, j])
+            del xq
             out.append((w, np.ascontiguousarray(dtaps.transpose(3, 2, 0, 1))))
         if x.requires_grad:
-            if stride == 1:
-                dxp = np.empty((n, hp, wp, c), dt)
-                taps_t = np.ascontiguousarray(taps.transpose(0, 1, 3, 2))  # (kh,kw,F,C)
-                pairs = [((kh - 1 - i) * wp + kw - 1 - j, taps_t[i, j]) for i, j in offsets]
-                _tap_sum(rows, pairs, dxp.reshape(-1, c))
-            else:
-                dxp = np.zeros((n, hp, wp, c), dt)
-                part = np.empty((m, c), dt)
-                for i, j in offsets:
-                    np.matmul(g, taps[i, j].T, out=part)
-                    view = window(dxp, i, j)
-                    view += part.reshape(view.shape)
-            dx = dxp[:, padding : padding + h, padding : padding + width]
-            out.append((x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2))))
+            taps_t = np.ascontiguousarray(taps.transpose(0, 1, 3, 2))  # (kh,kw,F,C)
+            dq = np.empty((n, hq, wq, c), dt)
+            dx = np.empty((n, c, h, width), dt)
+            for q, ((ys, xs), (us, vs)) in enumerate(_phases(stride, padding, h, width)):
+                pairs = [(front - off + q * size, taps_t[i, j])
+                         for off, (i, j), tq in zip(shifts, offsets, phase) if tq == q]
+                if not pairs:
+                    dx[:, :, ys, xs] = 0
+                    continue
+                _tap_sum(rows, pairs, dq.reshape(-1, c))
+                dx[:, :, ys, xs] = dq[:, us, vs].transpose(0, 3, 1, 2)
+            out.append((x, dx))
         return out
 
     return _make(data, (x, w), backward)

@@ -11,8 +11,8 @@ Blocks, in order:
 
 A damaged record (a container fault, a missing or unexpected block, a wrong
 dtype or shape, an unknown band or split) raises FormatError. A record of
-another kind, non-finite reflectance or a label other than 0/1 raises
-DataError.
+another kind, non-finite reflectance or a truth or water value other than
+0/1 raises DataError.
 """
 
 from __future__ import annotations

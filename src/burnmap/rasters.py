@@ -137,7 +137,10 @@ class BitemporalSample:
         if (self.truth.height, self.truth.width) != (self.pre.height, self.pre.width):
             raise DataError("truth mask dimensions do not match the patches")
         if self.water is not None:
-            self.water = np.asarray(self.water, dtype=np.uint8)
+            try:
+                self.water = GroundTruthMask(self.water).labels
+            except DataError as exc:
+                raise DataError(f"water {exc}") from None
             if self.water.shape != (self.pre.height, self.pre.width):
                 raise DataError("water mask dimensions do not match the patches")
         if self.split not in SPLITS:
@@ -163,55 +166,36 @@ def clip_reflectance(data: np.ndarray, clip_max: float) -> np.ndarray:
 
 
 def ingest_scene(
-    pre: RasterPatch,
-    post: RasterPatch,
-    truth: GroundTruthMask,
-    patch_size: int,
-    clip_max: float = DEFAULT_CLIP_MAX,
-    water: np.ndarray | None = None,
-    event_id: str = "",
-    split: str = "train",
+    scene: BitemporalSample, patch_size: int, clip_max: float = DEFAULT_CLIP_MAX
 ) -> list[BitemporalSample]:
     """Cut a scene into non-overlapping patch_size tiles in row-major order.
 
-    Border pixels beyond the last full tile are dropped. All reflectances are
-    clipped to [0, clip_max]. Tile samples are named "<event_id>/r<i>c<j>".
+    The scene is one sample, so its bands and layer shapes are already
+    checked. Border pixels beyond the last full tile are dropped. All
+    reflectances are clipped to [0, clip_max]. Tiles keep the scene's split
+    and are named "<event_id>/r<i>c<j>".
     """
-    for name, layer_h, layer_w in (
-        ("post", post.height, post.width),
-        ("truth", truth.height, truth.width),
-    ):
-        if (layer_h, layer_w) != (pre.height, pre.width):
-            raise DataError(
-                f"ingestion: {name} layer is {layer_h}x{layer_w}, "
-                f"pre is {pre.height}x{pre.width}"
-            )
-    if water is not None and water.shape != (pre.height, pre.width):
-        raise DataError("ingestion: water layer does not match scene dimensions")
-    if pre.bands != post.bands:
-        raise DataError("ingestion: pre and post band lists differ")
-    if patch_size <= 0 or pre.height < patch_size or pre.width < patch_size:
+    if patch_size <= 0 or scene.height < patch_size or scene.width < patch_size:
         raise DataError(
-            f"scene {pre.height}x{pre.width} smaller than patch size {patch_size}"
+            f"scene {scene.height}x{scene.width} smaller than patch size {patch_size}"
         )
 
-    pre_data = clip_reflectance(pre.data, clip_max)
-    post_data = clip_reflectance(post.data, clip_max)
-    n_rows = pre.height // patch_size
-    n_cols = pre.width // patch_size
+    bands = scene.pre.bands
+    pre_data = clip_reflectance(scene.pre.data, clip_max)
+    post_data = clip_reflectance(scene.post.data, clip_max)
     samples = []
-    for i in range(n_rows):
-        for j in range(n_cols):
+    for i in range(scene.height // patch_size):
+        for j in range(scene.width // patch_size):
             rs = slice(i * patch_size, (i + 1) * patch_size)
             cs = slice(j * patch_size, (j + 1) * patch_size)
             samples.append(
                 BitemporalSample(
-                    pre=RasterPatch(pre.bands, pre_data[:, rs, cs]),
-                    post=RasterPatch(post.bands, post_data[:, rs, cs]),
-                    truth=GroundTruthMask(truth.labels[rs, cs]),
-                    water=None if water is None else water[rs, cs],
-                    event_id=f"{event_id}/r{i}c{j}" if event_id else f"r{i}c{j}",
-                    split=split,
+                    pre=RasterPatch(bands, pre_data[:, rs, cs]),
+                    post=RasterPatch(bands, post_data[:, rs, cs]),
+                    truth=GroundTruthMask(scene.truth.labels[rs, cs]),
+                    water=None if scene.water is None else scene.water[rs, cs],
+                    event_id=f"{scene.event_id}/r{i}c{j}" if scene.event_id else f"r{i}c{j}",
+                    split=scene.split,
                 )
             )
     return samples

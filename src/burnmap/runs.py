@@ -49,7 +49,7 @@ from .metrics import (
     report_table,
 )
 from .mlp import mlp_fit, mlp_predict, save_mlp
-from .rasters import BandId, GroundTruthMask, RasterPatch, ingest_scene
+from .rasters import BandId, BitemporalSample, GroundTruthMask, RasterPatch, ingest_scene
 from .runconfig import (
     get_str, int_at_least, one_of, positive_float, positive_ints, read_fields, reader,
 )
@@ -145,29 +145,37 @@ INGEST_FIELDS = {
 }
 
 
-def _load_scene(path: str):
-    """Scene archive: bands (names), pre/post (C,H,W), truth (H,W), water?."""
+def _read_scene(path: str) -> dict[str, np.ndarray]:
+    """The arrays of a scene archive; one that cannot be read raises
+    DataError naming the file."""
     try:
         with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
+            return {name: archive[name] for name in archive.files}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:  # ValueError: a damaged .npy
         raise DataError(f"cannot read scene file {path}: {exc}") from exc
+
+
+def _scene_sample(arrays: dict[str, np.ndarray], event_id: str, split: str) -> BitemporalSample:
+    """A scene archive's arrays as one sample: bands (names), pre/post
+    (C,H,W), truth (H,W), water?. The sample checks the bands and shapes."""
     for required in ("bands", "pre", "post", "truth"):
         if required not in arrays:
-            raise DataError(f"scene file {path} is missing array {required!r}")
+            raise DataError(f"missing array {required!r}")
     try:
         bands = tuple(BandId(str(b)) for b in arrays["bands"])
     except (TypeError, ValueError) as exc:  # a 0-d array, or a name that is not a band
-        raise DataError(f"scene file {path}: array 'bands': {exc}") from None
+        raise DataError(f"array 'bands': {exc}") from None
 
     def mask(name: str) -> GroundTruthMask:  # truth and water are both 0/1 masks
         try:
             return GroundTruthMask(arrays[name])
         except DataError as exc:
-            raise DataError(f"scene file {path}: array {name!r}: {exc}") from None
+            raise DataError(f"array {name!r}: {exc}") from None
 
-    pre, post = RasterPatch(bands, arrays["pre"]), RasterPatch(bands, arrays["post"])
-    return pre, post, mask("truth"), mask("water").labels if "water" in arrays else None
+    return BitemporalSample(
+        RasterPatch(bands, arrays["pre"]), RasterPatch(bands, arrays["post"]), mask("truth"),
+        mask("water").labels if "water" in arrays else None, event_id, split,
+    )
 
 
 def cmd_ingest(config: dict[str, str], out_dir: Path, seed: int) -> Path:
@@ -179,13 +187,12 @@ def cmd_ingest(config: dict[str, str], out_dir: Path, seed: int) -> Path:
         raise ConfigError(f"ingest needs at least one of {'/'.join(SCENE_KEYS)}")
     samples = []
     for key, path in fields.items():
-        split = key.partition("_")[2]
-        pre, post, truth, water = _load_scene(path)
-        samples += ingest_scene(
-            pre, post, truth, patch_size,
-            clip_max=clip_max, water=water,
-            event_id=Path(path).stem, split=split,
-        )
+        arrays = _read_scene(path)
+        try:
+            scene = _scene_sample(arrays, Path(path).stem, key.partition("_")[2])
+            samples += ingest_scene(scene, patch_size, clip_max)
+        except DataError as exc:
+            raise DataError(f"scene file {path}: {exc}") from None
     save_dataset(samples, out_dir, clip_max=clip_max)
     _echo_config(out_dir, config, seed, 1)
     return out_dir / MANIFEST_NAME

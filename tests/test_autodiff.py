@@ -158,7 +158,7 @@ class TestConvGradients:
 
 class TestConvMemory:
     """The forward node keeps no input-sized buffer for its backward pass,
-    and a stride-1 forward needs only chunk-sized scratch."""
+    and a forward needs only chunk-sized scratch."""
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_keeps_no_padded_copy(self, stride):
@@ -175,22 +175,26 @@ class TestConvMemory:
         out.backward(np.ones_like(out.data))
         assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
 
-    def test_stride1_forward_peak_is_chunk_sized(self):
-        """Besides the padded input and the padded output grid, which live
-        together, and then the grid and the output, a stride-1 forward holds
-        only chunk-sized scratch. One partial sum over all rows (2.2 MB
-        here) is far over the bound."""
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_peak_is_chunk_sized(self, stride):
+        """Besides the padded input's phases and the output grid, which live
+        together, and then the grid and the output, a forward holds only
+        chunk-sized scratch. One partial sum over all rows (2.2 MB at stride
+        1) or per-tap strided copies (1 MB at stride 2) are far over the
+        bound."""
         rng = np.random.default_rng(37)
         x = Tensor(rng.standard_normal((8, 16, 64, 64), dtype=np.float32))
         w = Tensor(rng.standard_normal((16, 16, 3, 3), dtype=np.float32))
-        padded = 8 * 66 * 66 * 16 * 4  # the (N,Hp,Wp,C) input and the (N,Hp,Wp,F) grid
+        hq = -(-66 // stride)
+        grid = 8 * hq * hq * 16 * 4  # the (N,Hq,Wq,F) grid
+        phases = stride * stride * grid  # the (s*s,N,Hq,Wq,C) padded input
         tracemalloc.start()
         try:
-            out = ad.conv2d(x, w, padding=1)
+            out = ad.conv2d(x, w, stride=stride, padding=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        scratch = peak - padded - max(padded, out.data.nbytes)
+        scratch = peak - phases - max(grid, out.data.nbytes)
         assert scratch < 4 * ad._CHUNK_ROWS * 16 * 4
 
 
@@ -396,6 +400,73 @@ class TestConvBlocking:
         assert m % ad._CHUNK_ROWS == 1  # a one-row chunk is avoided
         assert 1 not in forward and 1 not in backward
         self._check(shape, f, k, 0, dtype, seed=f)
+
+
+def conv2d_copied(x, w, seed, stride, padding):
+    """Shift-and-accumulate with one strided copy of each tap's input
+    pixels, one full-height GEMM per tap, and the input gradient scattered
+    tap by tap into a zeroed padded buffer. Returns the output and the input
+    and kernel gradients of sum(out * seed), in the dtype of x."""
+    n, c, h, width = x.shape
+    f, _, kh, kw = w.shape
+    hp, wp = h + 2 * padding, width + 2 * padding
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    m = n * ho * wo
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
+    xp = np.zeros((n, hp, wp, c), x.dtype)
+    xp[:, padding : padding + h, padding : padding + width] = x.transpose(0, 2, 3, 1)
+
+    def window(buf, i, j):
+        return buf[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+
+    offsets = [(i, j) for i in range(kh) for j in range(kw)]
+    acc = np.empty((m, f), x.dtype)
+    part = np.empty((m, f), x.dtype)
+    for k, (i, j) in enumerate(offsets):
+        np.matmul(window(xp, i, j).reshape(m, c), taps[i, j], out=part if k else acc)
+        if k:
+            acc += part
+    out = np.ascontiguousarray(acc.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+
+    g = np.ascontiguousarray(seed.transpose(0, 2, 3, 1)).reshape(m, f)
+    dtaps = np.empty((kh, kw, c, f), x.dtype)
+    dxp = np.zeros_like(xp)
+    part = np.empty((m, c), x.dtype)
+    for i, j in offsets:
+        np.matmul(window(xp, i, j).reshape(m, c).T, g, out=dtaps[i, j])
+        np.matmul(g, taps[i, j].T, out=part)
+        view = window(dxp, i, j)
+        view += part.reshape(view.shape)
+    dx = dxp[:, padding : padding + h, padding : padding + width].transpose(0, 3, 1, 2)
+    return out, dx, dtaps.transpose(3, 2, 0, 1)
+
+
+class TestConvStride2:
+    """At stride 2, conv2d runs a stride-1 tap loop over the input's phases.
+    On the network's stride-2 layers at batch 8, the output and the input
+    gradient keep the bits of per-tap strided copies with full-height GEMMs
+    and a scattered input gradient. The kernel gradient of a 1x1 layer does
+    too; that of a 3x3 layer now also sums the grid's cropped rows, whose
+    gradient is zero, so it moves by float32 rounding only."""
+
+    @pytest.mark.parametrize("k, padding", [(3, 1), (1, 0)])
+    @pytest.mark.parametrize("c, hw", [(16, 64), (32, 32), (64, 16)])
+    def test_network_layers_match_copied(self, c, hw, k, padding):
+        rng = np.random.default_rng(c + k)
+        x = rng.standard_normal((8, c, hw, hw)).astype(np.float32)
+        w = (rng.standard_normal((2 * c, c, k, k)) * 0.1).astype(np.float32)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.conv2d(xt, wt, stride=2, padding=padding)
+        seed = rng.standard_normal(out.data.shape).astype(np.float32)
+        out.backward(seed)
+        want_out, want_dx, want_dw = conv2d_copied(x, w, seed, 2, padding)
+        TestConvBlocking._assert_same_bits(out.data, want_out)
+        TestConvBlocking._assert_same_bits(xt.grad, want_dx)
+        if k == 1:
+            TestConvBlocking._assert_same_bits(wt.grad, want_dw)
+        else:
+            tol = 8 * np.finfo(np.float32).eps * np.abs(want_dw).max()
+            np.testing.assert_allclose(wt.grad, want_dw, rtol=0, atol=tol)
 
 
 class TestNormalizationGradients:

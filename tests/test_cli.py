@@ -18,6 +18,7 @@ from burnmap.errors import (
     FormatError,
 )
 from burnmap.manifest import save_dataset
+from burnmap.modelio import pack_blocks, unpack_blocks
 from burnmap.rasters import ALL_BANDS, BandId
 from burnmap.synthetic import SyntheticConfig, generate_dataset, generate_scene
 
@@ -442,10 +443,11 @@ class TestInputBoundaries:
         assert rc == 3
         assert "metrics.csv:2: recall_unburnt is not a number: 'abc'" in capsys.readouterr().err
 
-    def _scene(self, path: Path, bands, water=None) -> Path:
-        pre, post, truth, scene_water = generate_scene(SyntheticConfig(patch_size=16), 2, 32, 32)
-        np.savez(path, bands=np.array(bands), pre=pre.data, post=post.data,
-                 truth=truth.labels, water=scene_water if water is None else water)
+    def _scene(self, path: Path, bands, **layers) -> Path:
+        """A 32x32 scene archive of 10 bands, with ``layers`` replaced."""
+        pre, post, truth, water = generate_scene(SyntheticConfig(patch_size=16), 2, 32, 32)
+        arrays = dict(pre=pre.data, post=post.data, truth=truth.labels, water=water)
+        np.savez(path, bands=np.array(bands), **{**arrays, **layers})
         return path
 
     def _ingest(self, scene: Path, tmp_path) -> int:
@@ -480,10 +482,46 @@ class TestInputBoundaries:
     def test_non_binary_scene_water_is_data_error(self, tmp_path, capsys, value, found):
         """A uint8 cast would read 0.5 as 0 and 300 as 44, and int() fails on a string."""
         water = np.full((32, 32), value)
-        scene = self._scene(tmp_path / "scene.npz", [b.value for b in ALL_BANDS], water)
+        scene = self._scene(tmp_path / "scene.npz", [b.value for b in ALL_BANDS], water=water)
         assert self._ingest(scene, tmp_path) == 3
         err = capsys.readouterr().err
         assert f"scene file {scene}: array 'water': mask labels must be 0/1, found {found}" in err
+
+    @pytest.mark.parametrize(
+        "layer, value, message",
+        [
+            ("water", np.zeros((32, 64), np.uint8), "water mask dimensions do not match"),
+            ("truth", np.zeros((32, 64), np.uint8), "truth mask dimensions do not match"),
+            ("post", np.zeros((10, 32, 64), np.float32),
+             "pre shape (10, 32, 32) != post shape (10, 32, 64)"),
+            ("pre", np.full((10, 32, 32), np.nan, np.float32),
+             "band B02 has non-finite reflectance nan at (row 0, col 0)"),
+            ("pre", np.zeros((9, 32, 32), np.float32),
+             "patch data shape (9, 32, 32) does not match 10 bands"),
+        ],
+        ids=["water-32x64", "truth-32x64", "post-32x64", "pre-nan", "pre-9-bands"],
+    )
+    def test_bad_scene_layer_names_the_file(self, tmp_path, capsys, layer, value, message):
+        scene = self._scene(tmp_path / "scene.npz", [b.value for b in ALL_BANDS], **{layer: value})
+        assert self._ingest(scene, tmp_path) == 3
+        assert f"scene file {scene}: {message}" in capsys.readouterr().err
+
+    def test_non_binary_patch_water_names_the_file(self, dataset_dir, tmp_path, capsys):
+        """A water mask is checked like the truth mask when a patch loads."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        patch = sorted((data / "patches").glob("*-train-*.npb"))[0]
+        record = unpack_blocks(patch.read_bytes())
+        record["water"] = np.full_like(record["truth"], 7)
+        patch.write_bytes(pack_blocks(record))
+        cfg = write_config(
+            tmp_path / "i.cfg", {"manifest": str(data / "manifest.csv"), "index": "NBR"}
+        )
+        rc = main(["index-eval", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"patches/{patch.name}: water mask labels must be 0/1, found [7]" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("empty", ["n_train", "n_test"])
     def test_index_eval_rejects_an_empty_split(self, tmp_path, capsys, empty):

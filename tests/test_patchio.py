@@ -138,6 +138,11 @@ class TestMalformedInput:
         with pytest.raises(DataError, match=r"band B8A .* inf at \(row 2, col 5\)"):
             read_sample(bytes(blob))
 
+    def test_non_binary_water_is_data_error(self):
+        """A water block is a 0/1 mask, like the truth block."""
+        with pytest.raises(DataError, match=r"water mask labels must be 0/1, found \[7\]"):
+            read_sample(edited(water=np.full((6, 6), 7, np.uint8)))
+
 
 class TestOtherKinds:
     """Patch and model files share the container; each loader takes only its kind."""

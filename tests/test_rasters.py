@@ -115,6 +115,26 @@ class TestBitemporalSample:
                 water=np.zeros((4, 5), np.uint8),
             )
 
+    @pytest.mark.parametrize(
+        "water, message",
+        [
+            (np.full((4, 4), 7, np.uint8), "water mask labels must be 0/1, found [7]"),
+            (np.full((4, 4), 0.5), "water mask labels must be 0/1, found [0.5]"),
+            (np.zeros(16, np.uint8), "water mask must be 2-D, got shape (16,)"),
+        ],
+        ids=["7", "half", "1-D"],
+    )
+    def test_water_is_a_binary_mask(self, water, message):
+        """The water mask keeps the truth mask's 0/1 rule, checked before the
+        uint8 cast."""
+        with pytest.raises(DataError, match=re.escape(message)):
+            BitemporalSample(
+                pre=make_patch(ALL_BANDS),
+                post=make_patch(ALL_BANDS),
+                truth=GroundTruthMask(np.zeros((4, 4), np.uint8)),
+                water=water,
+            )
+
     def test_unknown_split(self):
         with pytest.raises(DataError, match="split"):
             make_sample(split="holdout")
@@ -138,56 +158,57 @@ class TestClipReflectance:
 
 
 class TestIngestScene:
-    def scene(self, height, width, bands=(BandId.B04, BandId.B8A)):
+    def scene(self, height, width, bands=(BandId.B04, BandId.B8A), event_id=""):
         # Every pixel encodes its own coordinates so tile contents are checkable
         # by hand: value = row*1000 + col (scaled to stay inside the clip range).
         rows, cols = np.mgrid[0:height, 0:width]
         plane = (rows * 1000 + cols).astype(np.float32) * 1e-6
         data = np.stack([plane + 0.1 * k for k in range(len(bands))])
         truth = ((rows + cols) % 2).astype(np.uint8)
-        return (
+        return BitemporalSample(
             RasterPatch(bands, data),
             RasterPatch(bands, data + 1e-7),
             GroundTruthMask(truth),
+            water=(rows < cols).astype(np.uint8),
+            event_id=event_id,
+            split="val",
         )
 
     def test_row_major_tiling_oracle(self):
         """70x100 at patch 32 -> 2x3 grid; tile (i,j) starts at (32i, 32j)."""
-        pre, post, truth = self.scene(70, 100)
-        tiles = ingest_scene(pre, post, truth, patch_size=32, event_id="s")
+        scene = self.scene(70, 100, event_id="s")
+        tiles = ingest_scene(scene, patch_size=32)
         assert len(tiles) == 6
         assert [t.event_id for t in tiles] == [
             "s/r0c0", "s/r0c1", "s/r0c2", "s/r1c0", "s/r1c1", "s/r1c2",
         ]
         for k, t in enumerate(tiles):
             i, j = divmod(k, 3)
-            expected = pre.data[:, 32 * i : 32 * i + 32, 32 * j : 32 * j + 32]
-            np.testing.assert_array_equal(t.pre.data, expected)
-            np.testing.assert_array_equal(
-                t.truth.labels, truth.labels[32 * i : 32 * i + 32, 32 * j : 32 * j + 32]
-            )
+            window = np.s_[32 * i : 32 * i + 32, 32 * j : 32 * j + 32]
+            np.testing.assert_array_equal(t.pre.data, scene.pre.data[(slice(None), *window)])
+            np.testing.assert_array_equal(t.truth.labels, scene.truth.labels[window])
+            np.testing.assert_array_equal(t.water, scene.water[window])
+            assert t.split == "val"
 
     def test_partial_border_dropped(self):
-        pre, post, truth = self.scene(33, 65)
-        tiles = ingest_scene(pre, post, truth, patch_size=32)
+        tiles = ingest_scene(self.scene(33, 65), patch_size=32)
         assert len(tiles) == 2  # 1 row x 2 cols; the 1-px border is discarded
+        assert [t.event_id for t in tiles] == ["r0c0", "r0c1"]
 
     def test_clipping_applied(self):
-        pre, post, truth = self.scene(32, 32)
-        pre.data[0, 0, 0] = 2.5
-        tiles = ingest_scene(pre, post, truth, patch_size=32, clip_max=1.0)
+        scene = self.scene(32, 32)
+        scene.pre.data[0, 0, 0] = 2.5
+        tiles = ingest_scene(scene, patch_size=32, clip_max=1.0)
         assert tiles[0].pre.data[0, 0, 0] == 1.0
 
     def test_mismatched_layer_named(self):
-        pre, post, _ = self.scene(32, 32)
-        bad_truth = GroundTruthMask(np.zeros((32, 31), np.uint8))
+        scene = self.scene(32, 32)
         with pytest.raises(DataError, match="truth"):
-            ingest_scene(pre, post, bad_truth, patch_size=32)
+            BitemporalSample(scene.pre, scene.post, GroundTruthMask(np.zeros((32, 31), np.uint8)))
 
     def test_scene_smaller_than_patch(self):
-        pre, post, truth = self.scene(16, 16)
         with pytest.raises(DataError, match="smaller"):
-            ingest_scene(pre, post, truth, patch_size=32)
+            ingest_scene(self.scene(16, 16), patch_size=32)
 
 
 class TestBalanceNegatives:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from burnmap.errors import ConfigError
-from burnmap.rasters import ALL_BANDS, BandId, ingest_scene
+from burnmap.rasters import ALL_BANDS, BandId, BitemporalSample, ingest_scene
 from burnmap.synthetic import (
     BURNT_PROFILE,
     CONFIG_FIELDS,
@@ -142,7 +142,8 @@ class TestScene:
     def test_scene_tiles_through_ingest(self):
         cfg = SyntheticConfig(patch_size=64, water_prob=1.0)
         pre, post, truth, water = generate_scene(cfg, seed=8, height=128, width=192)
-        tiles = ingest_scene(pre, post, truth, patch_size=64, water=water, event_id="sc")
+        scene = BitemporalSample(pre, post, truth, water, event_id="sc")
+        tiles = ingest_scene(scene, patch_size=64)
         assert len(tiles) == 6
         assert truth.positive_pixels() > 0
         stitched = np.zeros((128, 192), dtype=np.uint8)

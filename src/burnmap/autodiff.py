@@ -366,23 +366,30 @@ def _phases(stride: int, padding: int, h: int, w: int) -> list:
     return [((ys, xs), (us, vs)) for (ys, us), (xs, vs) in itertools.product(axis(h), axis(w))]
 
 
-def _pad_channels_last(x: np.ndarray, padding: int, stride: int, dt) -> np.ndarray:
-    """(N,C,H,W) -> the stride x stride phases of its zero-padded
-    channels-last copy, (s*s, N, Hq, Wq, C) in dtype ``dt``, with
-    Hq = ceil((H+2p)/s) and Wq = ceil((W+2p)/s). At stride 1 this is the
-    padded buffer itself; grid cells past the padded input are zero too.
+def _pad_channels_last(x: np.ndarray, padding: int, stride: int, dt, phases: list) -> np.ndarray:
+    """(N,C,H,W) -> the listed ``phases`` (row-major indices into the
+    stride x stride split) of its zero-padded channels-last copy,
+    (len(phases), N, Hq, Wq, C) in dtype ``dt``, with Hq = ceil((H+2p)/s)
+    and Wq = ceil((W+2p)/s). At stride 1 phase 0 is the padded buffer
+    itself; grid cells past the padded input are zero too.
 
     Only the border is zeroed; the interior is written once, by the copy.
     """
     n, c, h, w = x.shape
     hq, wq = -(-(h + 2 * padding) // stride), -(-(w + 2 * padding) // stride)
-    xq = np.empty((stride * stride, n, hq, wq, c), dt)
+    split = _phases(stride, padding, h, w)
+    xq = np.empty((len(phases), n, hq, wq, c), dt)
     xt = x.transpose(0, 2, 3, 1)
-    for q, ((ys, xs), (us, vs)) in zip(xq, _phases(stride, padding, h, w)):
-        q[:, : us.start] = 0
-        q[:, us.stop :] = 0
-        q[:, us, : vs.start] = 0
-        q[:, us, vs.stop :] = 0
+    for q, p in zip(xq, phases):
+        (ys, xs), (us, vs) = split[p]
+        if us.start:
+            q[:, : us.start] = 0
+        if us.stop < hq:
+            q[:, us.stop :] = 0
+        if vs.start:
+            q[:, us, : vs.start] = 0
+        if vs.stop < wq:
+            q[:, us, vs.stop :] = 0
         q[:, us, vs] = xt[:, ys, xs]
     return xq
 
@@ -431,12 +438,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with (F,C,kh,kw) kernels, zero padded.
 
     Shift-and-accumulate on a phase grid: the input is padded into the
-    channels-last stride x stride phases ``xq`` (s*s, N, Hq, Wq, C) of
-    ``_pad_channels_last``, so a stride-s correlation is a stride-1 one over
-    the phases (Dumoulin & Visin, 2016). Output pixel (b, y, x) is row
-    b*Hq*Wq + y*Wq + x of the (N, Hq, Wq, F) grid, and tap (i, j) reads phase
-    (i mod s, j mod s), (i div s)*Wq + (j div s) rows further on. Each tap
-    runs as one GEMM of those rows against its (C,F) weights, summed by
+    channels-last stride x stride phases of ``_pad_channels_last``, so a
+    stride-s correlation is a stride-1 one over the phases (Dumoulin &
+    Visin, 2016). ``xq`` (P, N, Hq, Wq, C) holds only the P phases that some
+    tap reads: one for a 1x1 kernel at stride 2. Output pixel (b, y, x) is
+    row b*Hq*Wq + y*Wq + x of the (N, Hq, Wq, F) grid, and tap (i, j) reads
+    phase (i mod s, j mod s), (i div s)*Wq + (j div s) rows further on. Each
+    tap runs as one GEMM of those rows against its (C,F) weights, summed by
     ``_tap_sum`` before the crop to (Ho, Wo); the rows past the crop are
     wasted work. At stride 1 the one phase is the padded input.
 
@@ -473,16 +481,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     dt = np.result_type(x.data, w.data)
     offsets = list(itertools.product(range(kh), range(kw)))
     phase = [(i % stride) * stride + j % stride for i, j in offsets]
+    used = sorted(set(phase))  # the phases that xq holds, in its order
 
     # Rows [0, m) of the grid hold every output pixel, and each tap's m
-    # rows stay inside xq.
+    # rows stay inside its phase of xq.
     size = n * hq * wq
     front = (kh - 1) // stride * wq + (kw - 1) // stride
     m = size - front
-    shifts = [q * size + i // stride * wq + j // stride for q, (i, j) in zip(phase, offsets)]
+    within = [i // stride * wq + j // stride for i, j in offsets]
+    shifts = [used.index(q) * size + d for q, d in zip(phase, within)]
     taps = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dt)  # (kh,kw,C,F)
 
-    xq = _pad_channels_last(x.data, padding, stride, dt).reshape(-1, c)
+    xq = _pad_channels_last(x.data, padding, stride, dt, used).reshape(-1, c)
     grid = np.empty((n, hq, wq, f), dt)  # rows past m are never read
     pairs = [(off, taps[i, j]) for off, (i, j) in zip(shifts, offsets)]
     _tap_sum(xq, pairs, grid.reshape(-1, f)[:m])
@@ -494,7 +504,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         rows = np.zeros((front + size, f), dt)
         rows[front:].reshape(n, hq, wq, f)[:, :ho, :wo] = flow.transpose(0, 2, 3, 1)
         if w.requires_grad:
-            xq = _pad_channels_last(x.data, padding, stride, dt).reshape(-1, c)
+            xq = _pad_channels_last(x.data, padding, stride, dt, used).reshape(-1, c)
             g = rows[front : front + m]
             dtaps = np.empty((kh, kw, c, f), dt)
             for off, (i, j) in zip(shifts, offsets):
@@ -506,8 +516,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             dq = np.empty((n, hq, wq, c), dt)
             dx = np.empty((n, c, h, width), dt)
             for q, ((ys, xs), (us, vs)) in enumerate(_phases(stride, padding, h, width)):
-                pairs = [(front - off + q * size, taps_t[i, j])
-                         for off, (i, j), tq in zip(shifts, offsets, phase) if tq == q]
+                pairs = [(front - d, taps_t[i, j])
+                         for d, (i, j), tq in zip(within, offsets, phase) if tq == q]
                 if not pairs:
                     dx[:, :, ys, xs] = 0
                     continue
@@ -695,10 +705,10 @@ def bce_forward(yhat: np.ndarray, t: np.ndarray):
     """Mean binary cross-entropy of plain arrays, predictions clamped away
     from {0,1}. Returns the loss as a 0-d array of ``yhat``'s dtype, and the
     clamped predictions and the unclamped mask that ``bce_backward`` needs."""
-    p = np.clip(yhat, LOG_EPS, 1.0 - LOG_EPS)
+    p = np.minimum(np.maximum(yhat, LOG_EPS), 1.0 - LOG_EPS)  # np.clip's bits, less overhead
     inside = (yhat > LOG_EPS) & (yhat < 1.0 - LOG_EPS)
-    total = -np.sum(
-        t * np.log(p) + (1.0 - t) * np.log1p(-p), dtype=np.float64
+    total = -np.add.reduce(
+        t * np.log(p) + (1.0 - t) * np.log1p(-p), axis=None, dtype=np.float64
     )
     return np.asarray(total / p.size, dtype=yhat.dtype), p, inside
 

@@ -55,7 +55,7 @@ from .runconfig import (
 )
 from .seeding import derive_seed
 from .synthetic import SyntheticConfig, benchmark_config, generate_dataset, split_counts
-from .threshold import GRID_STEPS, evaluate_threshold, fit_threshold, get_index_kind
+from .threshold import GRID_STEPS, MAX_GRID_STEPS, evaluate_threshold, fit_threshold, get_index_kind
 
 FAMILY_ORDER = ("indices", "ml", "dl")
 RUN_COLUMNS = ["method", "family", "repeat", "seed"]  # metrics.csv, before the metrics
@@ -210,7 +210,13 @@ def _checked_manifest(path: str, command: str, splits: tuple[str, ...]):
     return manifest
 
 
-INDEX_EVAL_FIELDS = {"manifest": get_str, "index": get_index_kind, "steps": int_at_least(2)}
+INDEX_EVAL_FIELDS = {
+    "manifest": get_str,
+    "index": get_index_kind,
+    "steps": reader(
+        int, f"an integer in [2, {MAX_GRID_STEPS}]", lambda v: 2 <= v <= MAX_GRID_STEPS
+    ),
+}
 
 
 def cmd_index_eval(config: dict[str, str], out_dir: Path, seed: int) -> MetricReport:

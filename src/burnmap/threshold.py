@@ -24,6 +24,7 @@ from .runconfig import format_fields, get_float, get_int, get_str, parse_fields
 from .spectral import IndexKind, delta_field
 
 GRID_STEPS = 256
+MAX_GRID_STEPS = 2**20  # index-eval's bound: the scan holds ~10 grid-length float64 arrays
 _PERCENTILES = (1.0, 99.0)
 
 
@@ -117,8 +118,11 @@ def fit_threshold(
 ) -> ThresholdModel:
     """Grid-search the burnt-F1-optimal global threshold on pooled train pixels.
 
-    Equivalent to scoring binarize() at every grid point; implemented with one
-    sort + cumulative counts so the scan is O((n + steps) log n).
+    Equivalent to scoring binarize() at every grid point, but counted from two
+    value sorts, of the defined deltas and of the defined burnt deltas: the
+    pixels at or above a grid point are those from its left insertion point
+    on, so each count is one ``searchsorted`` and the scan is
+    O((n + steps) log n). Burnt pixels whose delta is NaN count as misses.
     """
     if not samples:
         raise FitError("no training samples")
@@ -127,20 +131,13 @@ def fit_threshold(
     if total_burnt == 0 or total_burnt == labels.size:
         raise FitError("training pixels contain a single class; cannot fit")
 
-    grid = candidate_grid(values, steps)
-
     finite = np.isfinite(values)
-    v = values[finite]
-    lab = labels[finite].astype(np.int64)
-    order = np.argsort(v, kind="stable")
-    v_sorted = v[order]
-    lab_sorted = lab[order]
-    # burnt_at_or_after[i] = burnt pixels among v_sorted[i:]
-    burnt_suffix = np.concatenate([np.cumsum(lab_sorted[::-1])[::-1], [0]])
+    v_sorted = np.sort(values[finite])
+    burnt_sorted = np.sort(values[finite & (labels == 1)])
+    grid = candidate_grid(v_sorted, steps)
 
-    first_ge = np.searchsorted(v_sorted, grid, side="left")
-    tp = burnt_suffix[first_ge].astype(np.float64)
-    predicted = (v_sorted.size - first_ge).astype(np.float64)
+    predicted = (v_sorted.size - np.searchsorted(v_sorted, grid, "left")).astype(np.float64)
+    tp = (burnt_sorted.size - np.searchsorted(burnt_sorted, grid, "left")).astype(np.float64)
     fp = predicted - tp
     fn = total_burnt - tp
     # Same arithmetic as metrics.compute_metrics so the recorded F1 is

@@ -468,6 +468,24 @@ class TestConvStride2:
             tol = 8 * np.finfo(np.float32).eps * np.abs(want_dw).max()
             np.testing.assert_allclose(wt.grad, want_dw, rtol=0, atol=tol)
 
+    def test_1x1_builds_one_phase(self, monkeypatch):
+        """A 1x1 tap reads only phase (0, 0), so forward and the kernel
+        gradient's rebuild copy one phase of the input, not four."""
+        built = []
+        pad = ad._pad_channels_last
+
+        def recording(*args):
+            xq = pad(*args)
+            built.append(xq.shape)
+            return xq
+
+        monkeypatch.setattr(ad, "_pad_channels_last", recording)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 1, 1), dtype=np.float32), requires_grad=True)
+        ad.conv2d(x, w, stride=2).backward(np.ones((2, 4, 4, 4), np.float32))
+        assert built == [(1, 2, 4, 4, 3)] * 2
+
 
 class TestNormalizationGradients:
     def test_batchnorm_training(self):
@@ -613,6 +631,28 @@ class TestLossValues:
         # -(ln 0.8 + ln 0.8) / 2 with y = [1, 0], p = [0.8, 0.2]
         out = ad.loss_bce(Tensor(np.array([0.8, 0.2])), np.array([1.0, 0.0]))
         np.testing.assert_allclose(float(out.data), -np.log(0.8), rtol=1e-12)
+
+    def test_bce_forward_keeps_the_clip_formula_bits(self):
+        """bce_forward's loss, clamped predictions and mask equal, bit for
+        bit, the np.clip and np.sum form, on float32 heads of 32 with NaN
+        predictions and predictions past both clamps."""
+
+        def clip_form(yhat, t):
+            p = np.clip(yhat, ad.LOG_EPS, 1.0 - ad.LOG_EPS)
+            inside = (yhat > ad.LOG_EPS) & (yhat < 1.0 - ad.LOG_EPS)
+            total = -np.sum(t * np.log(p) + (1.0 - t) * np.log1p(-p), dtype=np.float64)
+            return np.asarray(total / p.size, dtype=yhat.dtype), p, inside
+
+        rng = np.random.default_rng(67)
+        special = np.array([np.nan, 0.0, 1.0, 1e-9, 1 - 1e-9, -0.5, 1.5], np.float32)
+        for trial in range(200):
+            yhat = rng.random((32, 1), dtype=np.float32)
+            at = rng.random((32, 1)) < 0.2
+            yhat[at] = rng.choice(special, int(at.sum()))
+            t = (rng.random((32, 1)) < 0.5).astype(np.float32)
+            got, want = ad.bce_forward(yhat, t), clip_form(yhat, t)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), trial
 
     def test_bce_clamps_at_zero_and_one(self):
         out = ad.loss_bce(Tensor(np.array([0.0, 1.0])), np.array([1.0, 0.0]))

@@ -374,6 +374,8 @@ class TestConfigValues:
             ("ingest", {"patch_size": "0"}, "patch_size"),
             ("ingest", {"clip_max": "0"}, "clip_max"),
             ("index-eval", {"index": "NBR", "steps": "1"}, "steps"),
+            ("index-eval", {"index": "NBR", "steps": "1048577"}, "steps"),
+            ("index-eval", {"index": "NBR", "steps": "1000000000000"}, "steps"),
             ("ml-run", {"method": "rf", "rf_trees": "0"}, "rf_trees"),
             ("ml-run", {"method": "rf", "rf_trees": "abc"}, "rf_trees"),
             ("ml-run", {"method": "rf", "n_pixels": "201"}, "n_pixels"),

@@ -1,12 +1,15 @@
 """Threshold search vs a brute-force rescan, binarize semantics, round trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from burnmap import threshold
 from burnmap.errors import DataError, FitError
 from burnmap.metrics import accumulate, compute_metrics
 from burnmap.spectral import IndexKind, delta_field
-from burnmap.synthetic import SyntheticConfig, generate_dataset
+from burnmap.synthetic import SyntheticConfig, benchmark_config, generate_dataset
 from burnmap.threshold import (
     GRID_STEPS,
     ThresholdModel,
@@ -40,6 +43,55 @@ def brute_force_fit(kind, samples, steps=GRID_STEPS):
         if f1 > best_f1:
             best_t, best_f1 = float(t), float(f1)
     return best_t, best_f1
+
+
+def argsort_fit(kind, samples, steps=GRID_STEPS):
+    """The earlier scan: a stable argsort of the defined deltas, the labels
+    gathered into that order, and burnt counts from a reversed cumulative
+    sum, read at each grid point's left insertion point. Returns
+    (threshold, grid_lo, grid_hi, train_f1)."""
+    values = np.concatenate([delta_field(kind, s.pre, s.post).ravel() for s in samples])
+    labels = np.concatenate([s.truth.labels.ravel() for s in samples])
+    total_burnt = int(labels.sum())
+    grid = candidate_grid(values, steps)
+    finite = np.isfinite(values)
+    v = values[finite]
+    order = np.argsort(v, kind="stable")
+    v_sorted = v[order]
+    lab_sorted = labels[finite].astype(np.int64)[order]
+    burnt_suffix = np.concatenate([np.cumsum(lab_sorted[::-1])[::-1], [0]])
+    first_ge = np.searchsorted(v_sorted, grid, side="left")
+    tp = burnt_suffix[first_ge].astype(np.float64)
+    predicted = (v_sorted.size - first_ge).astype(np.float64)
+    fp = predicted - tp
+    fn = total_burnt - tp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prec = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        rec = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        f1 = np.where(prec + rec > 0, 2.0 * prec * rec / (prec + rec), 0.0)
+    best = int(np.argmax(f1))
+    return float(grid[best]), float(grid[0]), float(grid[-1]), float(f1[best])
+
+
+def brute_force_arrays(values, labels, steps):
+    """(threshold, train_f1) of binarize() scored at every grid point of
+    pooled delta and label arrays, first argmax."""
+    best_t, best_f1 = None, -1.0
+    for t in candidate_grid(values, steps):
+        f1 = compute_metrics(accumulate(binarize(values, t), labels)).burnt.f1
+        if f1 > best_f1:
+            best_t, best_f1 = float(t), float(f1)
+    return best_t, best_f1
+
+
+def array_samples(monkeypatch, values, labels):
+    """Samples whose delta fields are the rows of ``values``: the fit's
+    delta_field is patched to hand each sample's row back."""
+    monkeypatch.setattr(threshold, "delta_field", lambda kind, pre, post: pre)
+    return [
+        SimpleNamespace(pre=v, post=None, truth=SimpleNamespace(labels=lab))
+        for v, lab in zip(values, labels)
+    ]
 
 
 def train_samples(seed, noise=0.02, n=6, size=24):
@@ -80,6 +132,58 @@ class TestFitThreshold:
             oracle_t, oracle_f1 = brute_force_fit(kind, samples, steps=64)
             assert model.threshold == oracle_t, (trial, kind)
             assert model.train_f1 == oracle_f1, (trial, kind)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_argsort_scan_at_benchmark_scale(self, seed):
+        """Bitwise the fit of the stable-argsort scan, for every index on the
+        40 train patches of 64x64 of the standard benchmark."""
+        samples = [
+            s for s in generate_dataset(benchmark_config(noise=0.02), seed) if s.split == "train"
+        ]
+        assert len(samples) == 40
+        for kind in IndexKind:
+            m = fit_threshold(kind, samples)
+            got = (m.threshold, m.grid_lo, m.grid_hi, m.train_f1)
+            want = argsort_fit(kind, samples)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), kind
+
+    def test_ties_on_every_grid_point(self, monkeypatch):
+        """Deltas on a 0.25 lattice, ten pixels per value, and a grid whose
+        points are all lattice values: a pixel equal to a grid point counts
+        as predicted burnt there."""
+        rng = np.random.default_rng(12)
+        values = (np.repeat(np.arange(101), 10) / 4).astype(np.float32)
+        labels = ((values >= 12) ^ (rng.random(values.size) < 0.2)).astype(np.uint8)
+        grid = candidate_grid(values, 99)
+        assert np.isin(grid, values).all()
+        samples = array_samples(monkeypatch, values.reshape(10, -1), labels.reshape(10, -1))
+        model = fit_threshold(IndexKind.NBR, samples, steps=99)
+        assert (model.threshold, model.train_f1) == brute_force_arrays(values, labels, 99)
+        assert 0.25 < model.threshold < 24.75
+
+    def test_quantized_deltas(self, monkeypatch):
+        """Deltas rounded to 0.1, so most pixels share their value."""
+        rng = np.random.default_rng(13)
+        labels = (rng.random(4000) < 0.3).astype(np.uint8)
+        values = np.round(rng.normal(labels * 1.2, 1.0), 1).astype(np.float32)
+        assert np.unique(values).size < 100
+        samples = array_samples(monkeypatch, values.reshape(8, -1), labels.reshape(8, -1))
+        for steps in (2, 64, 257):
+            model = fit_threshold(IndexKind.NBR, samples, steps=steps)
+            assert (model.threshold, model.train_f1) == brute_force_arrays(values, labels, steps)
+
+    def test_undefined_burnt_deltas_are_misses(self, monkeypatch):
+        """A NaN delta is never predicted burnt, so a burnt pixel whose delta
+        is NaN is a false negative at every grid point."""
+        rng = np.random.default_rng(14)
+        labels = (rng.random(3000) < 0.4).astype(np.uint8)
+        values = rng.normal(labels * 1.5, 1.0).astype(np.float32)
+        values[(labels == 1) & (rng.random(3000) < 0.3)] = np.nan
+        values[(labels == 0) & (rng.random(3000) < 0.05)] = np.nan
+        samples = array_samples(monkeypatch, values.reshape(6, -1), labels.reshape(6, -1))
+        model = fit_threshold(IndexKind.NBR, samples, steps=64)
+        assert (model.threshold, model.train_f1) == brute_force_arrays(values, labels, 64)
+        assert model.train_f1 < 0.85  # the misses keep recall at or below 0.7
 
     def test_noiseless_separation_perfect_f1(self):
         samples = train_samples(seed=3, noise=0.0)

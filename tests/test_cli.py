@@ -374,8 +374,6 @@ class TestConfigValues:
             ("ingest", {"patch_size": "0"}, "patch_size"),
             ("ingest", {"clip_max": "0"}, "clip_max"),
             ("index-eval", {"index": "NBR", "steps": "1"}, "steps"),
-            ("index-eval", {"index": "NBR", "steps": "1048577"}, "steps"),
-            ("index-eval", {"index": "NBR", "steps": "1000000000000"}, "steps"),
             ("ml-run", {"method": "rf", "rf_trees": "0"}, "rf_trees"),
             ("ml-run", {"method": "rf", "rf_trees": "abc"}, "rf_trees"),
             ("ml-run", {"method": "rf", "n_pixels": "201"}, "n_pixels"),
@@ -389,6 +387,8 @@ class TestConfigValues:
             ("dl-run", {"loss": "focal", "focal_gamma": "0"}, "focal_gamma"),
             ("dl-run", {"loss": "focal", "focal_gamma": "nan"}, "focal_gamma"),
             ("synth", {"n_train": "0", "n_val": "0", "n_test": "0"}, "n_train"),
+            ("index-eval", {"index": "NBR", "steps": "1048577"}, "steps"),
+            ("index-eval", {"index": "NBR", "steps": "1000000000000"}, "steps"),
         ],
     )
     def test_out_of_range_value_is_config_error(

@@ -127,3 +127,7 @@ def one_of(*choices: str):
 
 def int_at_least(lo: int):
     return reader(int, f"an integer >= {lo}", lambda v: v >= lo)
+
+
+def int_in(lo: int, hi: int):
+    return reader(int, f"an integer in [{lo}, {hi}]", lambda v: lo <= v <= hi)

@@ -51,7 +51,7 @@ from .metrics import (
 from .mlp import mlp_fit, mlp_predict, save_mlp
 from .rasters import BandId, BitemporalSample, GroundTruthMask, RasterPatch, ingest_scene
 from .runconfig import (
-    get_str, int_at_least, one_of, positive_float, positive_ints, read_fields, reader,
+    get_str, int_at_least, int_in, one_of, positive_float, positive_ints, read_fields, reader,
 )
 from .seeding import derive_seed
 from .synthetic import SyntheticConfig, benchmark_config, generate_dataset, split_counts
@@ -213,9 +213,7 @@ def _checked_manifest(path: str, command: str, splits: tuple[str, ...]):
 INDEX_EVAL_FIELDS = {
     "manifest": get_str,
     "index": get_index_kind,
-    "steps": reader(
-        int, f"an integer in [2, {MAX_GRID_STEPS}]", lambda v: 2 <= v <= MAX_GRID_STEPS
-    ),
+    "steps": int_in(2, MAX_GRID_STEPS),
 }
 
 

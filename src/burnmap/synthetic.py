@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .rasters import ALL_BANDS, BandId, BitemporalSample, GroundTruthMask, RasterPatch
-from .runconfig import check_values, fraction, get_bands, int_at_least, nonnegative_float, reader
+from .runconfig import (
+    check_values, fraction, get_bands, int_at_least, int_in, nonnegative_float, reader,
+)
 from .seeding import rng_for
 
 VEGETATION_PROFILE: dict[BandId, float] = {
@@ -79,6 +81,7 @@ _DISTRACTOR_SHIFT = (0.50, 0.90)
 _SPIKE = (0.40, 0.90)
 _MAX_POLYGON_TRIES = 32
 _MIN_BURNT_PIXELS = 16  # land pixels a placed burn scar must cover
+MAX_PATCH_SIZE = 1024  # synth's bound: one patch's float64 pre/post cubes take ~170 MB
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class SyntheticConfig:
 # Every SyntheticConfig field in declaration order: (read and range-check from
 # a key=value dict, format as text). synth's config keys come from it too.
 CONFIG_FIELDS = {
-    "patch_size": (int_at_least(8), str),
+    "patch_size": (int_in(8, MAX_PATCH_SIZE), str),
     **dict.fromkeys(("n_train", "n_val", "n_test"), (int_at_least(0), str)),
     "bands": (get_bands, ",".join),
     "noise": (nonnegative_float, repr),
@@ -150,18 +153,28 @@ def _profile_vector(profile: dict[BandId, float], bands: tuple[BandId, ...]) -> 
 def _star_mask(
     rng: np.random.Generator, height: int, width: int, radius_frac: tuple[float, float]
 ) -> np.ndarray:
-    """Random star-convex polygon: spoke radii linearly interpolated over angle."""
+    """Random star-convex polygon: spoke radii linearly interpolated over angle.
+
+    Only the pixels inside the polygon's clipped bounding box are evaluated.
+    The box reaches one pixel past the longest spoke, so a rim that
+    ``np.interp`` rounds up by an ulp still cannot reach a pixel outside it.
+    """
     radius = min(height, width) * rng.uniform(*radius_frac)
     cy = rng.uniform(0.15, 0.85) * height
     cx = rng.uniform(0.15, 0.85) * width
     spokes = radius * rng.uniform(0.55, 1.0, _SPOKES)
     angles = np.arange(_SPOKES) * (2.0 * np.pi / _SPOKES)
-    yy, xx = np.mgrid[0:height, 0:width]
+    reach = spokes.max() + 1.0
+    rows = slice(max(0, int(cy - reach)), min(height, int(cy + reach) + 2))
+    cols = slice(max(0, int(cx - reach)), min(width, int(cx + reach) + 2))
+    yy, xx = np.mgrid[rows, cols]
     dy = yy - cy
     dx = xx - cx
     theta = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
     rim = np.interp(theta, angles, spokes, period=2.0 * np.pi)
-    return np.hypot(dy, dx) <= rim
+    mask = np.zeros((height, width), dtype=bool)
+    mask[rows, cols] = np.hypot(dy, dx) <= rim
+    return mask
 
 
 def _render(

@@ -389,6 +389,8 @@ class TestConfigValues:
             ("synth", {"n_train": "0", "n_val": "0", "n_test": "0"}, "n_train"),
             ("index-eval", {"index": "NBR", "steps": "1048577"}, "steps"),
             ("index-eval", {"index": "NBR", "steps": "1000000000000"}, "steps"),
+            ("synth", {"patch_size": "1025"}, "patch_size"),
+            ("synth", {"patch_size": "1000000"}, "patch_size"),
         ],
     )
     def test_out_of_range_value_is_config_error(

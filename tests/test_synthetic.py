@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from burnmap import synthetic
 from burnmap.errors import ConfigError
 from burnmap.rasters import ALL_BANDS, BandId, BitemporalSample, ingest_scene
 from burnmap.synthetic import (
@@ -12,7 +13,12 @@ from burnmap.synthetic import (
     CONFIG_FIELDS,
     VEGETATION_PROFILE,
     WATER_PROFILE,
+    _BURN_RADIUS,
+    _DISTRACTOR_RADIUS,
+    _SPOKES,
+    _WATER_RADIUS,
     SyntheticConfig,
+    _star_mask,
     benchmark_config,
     generate_dataset,
     generate_sample,
@@ -21,6 +27,22 @@ from burnmap.synthetic import (
 )
 
 CLEAN = SyntheticConfig(patch_size=32, n_train=4, n_val=2, n_test=2, water_prob=0.0)
+
+
+def full_raster_star_mask(rng, height, width, radius_frac):
+    """Reference for ``_star_mask``: the same draws, with every pixel of the
+    raster tested against the rim."""
+    radius = min(height, width) * rng.uniform(*radius_frac)
+    cy = rng.uniform(0.15, 0.85) * height
+    cx = rng.uniform(0.15, 0.85) * width
+    spokes = radius * rng.uniform(0.55, 1.0, _SPOKES)
+    angles = np.arange(_SPOKES) * (2.0 * np.pi / _SPOKES)
+    yy, xx = np.mgrid[0:height, 0:width]
+    dy = yy - cy
+    dx = xx - cx
+    theta = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
+    rim = np.interp(theta, angles, spokes, period=2.0 * np.pi)
+    return np.hypot(dy, dx) <= rim
 
 
 class TestProfiles:
@@ -123,6 +145,44 @@ class TestDatasetLayout:
         assert (cfg.n_train, cfg.n_val, cfg.n_test) == (40, 10, 10)
         assert cfg.patch_size == 64 and cfg.noise == 0.02
         assert cfg.distractor_prob > 0 and cfg.outlier_frac > 0
+
+
+class TestStarMask:
+    """``_star_mask`` evaluates only the polygon's bounding box; the result
+    and the generator's stream must equal the full-raster reference."""
+
+    RADII = {"burn": _BURN_RADIUS, "water": _WATER_RADIUS, "distractor": _DISTRACTOR_RADIUS}
+
+    @pytest.mark.parametrize("shape", [(64, 64), (96, 40), (40, 96), (8, 8), (300, 700)])
+    @pytest.mark.parametrize("kind", list(RADII))
+    def test_matches_full_raster_reference(self, kind, shape):
+        seed = [*shape, list(self.RADII).index(kind)]
+        boxed_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        touching = 0
+        for draw in range(60):
+            got = _star_mask(boxed_rng, *shape, self.RADII[kind])
+            want = full_raster_star_mask(full_rng, *shape, self.RADII[kind])
+            assert got.shape == shape and got.dtype == bool
+            np.testing.assert_array_equal(got, want, err_msg=f"draw {draw}")
+            assert boxed_rng.bit_generator.state == full_rng.bit_generator.state
+            touching += bool(got[[0, -1]].any() or got[:, [0, -1]].any())
+        if kind == "burn":
+            # Burn scars cross the raster border in every shape, so boxes
+            # clipped to the raster are among the draws.
+            assert touching > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dataset_and_scene_bytes_match_reference(self, seed, monkeypatch):
+        def generate():
+            cfg = benchmark_config()
+            scenes = [(s.pre, s.post, s.truth, s.water) for s in generate_dataset(cfg, seed)]
+            scenes.append(generate_scene(cfg, seed, 256, 256))
+            return [a.tobytes() for pre, post, truth, water in scenes
+                    for a in (pre.data, post.data, truth.labels, water)]
+
+        boxed = generate()
+        monkeypatch.setattr(synthetic, "_star_mask", full_raster_star_mask)
+        assert generate() == boxed
 
 
 class TestSplitCounts:

@@ -10,14 +10,14 @@ default, addition by config). A 1x1 head emits one logit map at input
 resolution, squashed to a burnt probability.
 
 Stage strides are [1, 2, 2, 2, ...], so inputs must be divisible by
-2**(n_stages - 1). Training is mini-batch Adam on the configured loss with
-the best-validation-burnt-F1 checkpoint returned; fixed seeds give
-bit-identical traces.
+2**(n_stages - 1). Training is mini-batch Adam on the configured loss
+through ``nn.train_epochs``, the loop the pixel MLP also trains in, with
+burnt-F1 validation after each epoch and the best checkpoint returned; a
+fixed seed and a fixed BLAS thread count give bit-identical traces.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError
 from .metrics import MetricReport, accumulate, compute_metrics
 from .modelio import block_text, load_model, save_model, text_block
 from .rasters import ALL_BANDS, BandId, BitemporalSample, RasterPatch
@@ -346,15 +346,6 @@ def validation_f1(model: BamCdModel, x_pre, x_post, truth, batch_size: int) -> f
     return stack_metrics(model, x_pre, x_post, truth, batch_size).burnt.f1
 
 
-def _check_finite_state(model: BamCdModel, epoch: int):
-    """Raise DivergenceError naming the first parameter or batch-norm buffer
-    that holds a NaN or infinity. A non-finite input can poison the weights
-    and running statistics while the loss stays finite (the rectifier maps
-    NaN to 0), so the loss check alone does not catch it."""
-    params = ((name, p.data) for name, p in model.named_parameters())
-    nn.check_finite(itertools.chain(params, model.named_buffers()), epoch)
-
-
 def train(
     model: BamCdModel,
     train_samples: list[BitemporalSample],
@@ -371,36 +362,27 @@ def train(
     x_pre, x_post, truth = stack_samples(train_samples, config)
     v_pre, v_post, v_truth = stack_samples(val_samples, config)
     loss_fn = _loss_fn(config)
+
+    def batch(rows):
+        probs = model.forward_batch(Tensor(x_pre[rows]), Tensor(x_post[rows]))
+        loss = loss_fn(probs, truth[rows])
+
+        def backward():
+            model.zero_grad()  # autodiff adds into an existing grad
+            loss.backward()
+
+        return float(loss.data), backward
+
     optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
-    buffers = [b for _, b in model.named_buffers()]
-    shuffle = rng_for(config.seed, "train/shuffle")
-    n = x_pre.shape[0]
     trace: list[EpochStats] = []
     best_f1 = -1.0
     best_state = None
-    for epoch in range(config.epochs):
-        model.train()
-        order = shuffle.permutation(n)
-        batch_losses = []
-        for start in range(0, n, config.batch_size):
-            rows = order[start : start + config.batch_size]
-            probs = model.forward_batch(Tensor(x_pre[rows]), Tensor(x_post[rows]))
-            loss = loss_fn(probs, truth[rows])
-            if not np.isfinite(loss.data):
-                raise DivergenceError(
-                    f"non-finite training loss in epoch {epoch}", epoch=epoch
-                )
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-            # One pass over the optimizer's flat buffer and the batch-norm
-            # statistics; the walk only names the culprit.
-            finite = np.isfinite(optimizer.data).all()
-            if not (finite and all(np.isfinite(b).all() for b in buffers)):
-                _check_finite_state(model, epoch)
-            batch_losses.append(float(loss.data))
+    for epoch, train_loss in nn.train_epochs(
+        model, optimizer, x_pre.shape[0], config.batch_size, config.epochs,
+        rng_for(config.seed, "train/shuffle"), batch,
+    ):
         f1 = validation_f1(model, v_pre, v_post, v_truth, config.batch_size)
-        trace.append(EpochStats(epoch, float(np.mean(batch_losses)), f1))
+        trace.append(EpochStats(epoch, train_loss, f1))
         if f1 > best_f1:
             best_f1 = f1
             best_state = model.state_dict()
@@ -499,8 +481,7 @@ def save_bamcd(path: str | Path, model: BamCdModel):
 
 def _bamcd_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> BamCdModel:
     model = build(config_from_text(block_text(blocks["__config__"])))
-    names = itertools.chain(model.named_parameters(), model.named_buffers())
-    model.load_state_dict({name: blocks["param/" + name] for name, _ in names})
+    model.load_state_dict({name: blocks["param/" + name] for name, _ in model.named_arrays()})
     return model
 
 

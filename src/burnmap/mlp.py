@@ -1,9 +1,10 @@
 """Fully connected burnt-probability classifier over pixel feature vectors.
 
 Rectifier hidden layers, logistic output, mean binary cross-entropy loss,
-mini-batch Adam. Widths default to [d, 128, 64, 1]. Training is single
-threaded and deterministic for a fixed seed; a non-finite loss, or a
-non-finite parameter after an optimizer step, aborts with the epoch named.
+mini-batch Adam in ``nn.train_epochs``, BAM-CD's loop too. Widths default
+to [d, 128, 64, 1]. Training is bit-deterministic for a fixed seed and BLAS
+thread count; a non-finite loss, or a non-finite parameter after an
+optimizer step, aborts with the epoch named.
 
 Training builds no autodiff graph. Forward and backward are plain numpy
 over the ``nn.Linear`` parameter arrays, written out for this one layer
@@ -12,8 +13,7 @@ closures (the sigmoid and BCE formulas are autodiff's own plain-array
 helpers), so weights and loss traces are bit for bit those of the graph.
 Each layer adds its bias, rectifies and masks its flow in place on the
 fresh matmul output. ``nn.Adam`` owns the parameters: they are views of
-its one flat buffer, which each step updates in place and which the
-finiteness check after the step reads once.
+its one flat buffer, which each step updates in place.
 
 Inputs are standardized per feature (training-set mean and deviation,
 stored with the model): raw spectral features span several orders of
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError
 from .features import validate_training_data
 from .modelio import load_model, meta_ints, save_model
 from .seeding import rng_for
@@ -127,35 +127,24 @@ def mlp_fit(
     x = model.normalize(x)
     targets = y.astype(np.float32).reshape(-1, 1)
     optimizer = nn.Adam(model.layers.parameters(), lr=learning_rate)
-    named = [(name, p.data) for name, p in model.layers.named_parameters()]
-    shuffle = rng_for(seed, "mlp/shuffle")
-    n = x.shape[0]
-    for epoch in range(epochs):
-        order = shuffle.permutation(n)
-        batch_losses = []
-        for start in range(0, n, batch_size):
-            rows = order[start : start + batch_size]
-            batch_losses.append(_batch_gradients(model, x[rows], targets[rows], epoch))
-            optimizer.step()
-            # An overflowing step leaves the loss finite until the next batch.
-            # One pass over the optimizer's flat buffer; the walk only names
-            # the parameter.
-            if not np.isfinite(optimizer.data).all():
-                nn.check_finite(named, epoch)
-        model.loss_trace.append(float(np.mean(batch_losses)))
+    epoch_losses = nn.train_epochs(
+        model.layers, optimizer, x.shape[0], batch_size, epochs, rng_for(seed, "mlp/shuffle"),
+        lambda rows: _batch_gradients(model, x[rows], targets[rows]),
+    )
+    model.loss_trace.extend(loss for _, loss in epoch_losses)
     return model
 
 
-def _batch_gradients(model: MlpModel, x: np.ndarray, t: np.ndarray, epoch: int) -> float:
-    """Mean BCE of one batch against targets t (shape (n, 1), model dtype).
-    Sets every parameter's grad, or raises DivergenceError naming the epoch
-    if the loss is not finite."""
+def _batch_gradients(model: MlpModel, x: np.ndarray, t: np.ndarray):
+    """Mean BCE of one batch against targets t (shape (n, 1), model dtype),
+    and a callable that sets every parameter's grad from it."""
     *inputs, out = model._layer_inputs(x)
     loss, p, inside = ad.bce_forward(out, t)
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
-    model._backward(ad.sigmoid_backward(ad.bce_backward(1.0, t, p, inside), out), inputs)
-    return float(loss)
+
+    def backward():
+        model._backward(ad.sigmoid_backward(ad.bce_backward(1.0, t, p, inside), out), inputs)
+
+    return float(loss), backward
 
 
 def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray | float:

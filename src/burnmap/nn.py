@@ -1,5 +1,6 @@
 """Parameter containers, standard layers, the Adam optimizer, and the
-finiteness check run after each optimizer step.
+mini-batch training loop with its divergence rule, which the pixel MLP and
+BAM-CD share.
 
 Modules register parameters and submodules on attribute assignment, so
 ``named_parameters()`` walks the tree in declaration order — the order is
@@ -71,11 +72,13 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        """Every parameter's array, then every buffer, by name."""
+        yield from ((name, p.data) for name, p in self.named_parameters())
+        yield from self.named_buffers()
+
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: p.data.copy() for name, p in self.named_parameters()}
-        for name, b in self.named_buffers():
-            state[name] = b.copy()
-        return state
+        return {name: a.copy() for name, a in self.named_arrays()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
         """Copy arrays into parameters and buffers in place; names and
@@ -296,12 +299,33 @@ class Adam:
         self.data[lo:hi] -= g
 
 
-def check_finite(named_arrays, epoch: int):
-    """Raise DivergenceError naming the first of the (name, array) pairs
-    that holds a NaN or infinity after an optimizer step in ``epoch``."""
-    for name, arr in named_arrays:
-        if not np.isfinite(arr).all():
-            raise DivergenceError(
-                f"non-finite values in {name} after an optimizer step in epoch {epoch}",
-                epoch=epoch,
-            )
+def train_epochs(
+    module: Module, optimizer: Adam, n: int, batch_size: int, epochs: int,
+    shuffle: np.random.Generator, batch,
+) -> Iterator[tuple[int, float]]:
+    """Mini-batch training over ``n`` rows; yields (epoch, mean batch loss).
+    Each epoch sets training mode and draws one ``shuffle.permutation(n)``.
+    ``batch(rows)`` returns the loss as a float and a callable that sets the
+    gradients; a non-finite loss raises DivergenceError before it runs. A NaN
+    input or an overflowing step can poison the weights or running statistics
+    while the loss stays finite, so each step ends with one finiteness pass
+    over ``optimizer.data`` and the buffers, naming the culprit on failure."""
+    buffers = [b for _, b in module.named_buffers()]
+    for epoch in range(epochs):
+        module.train()
+        order = shuffle.permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            loss, backward = batch(order[start : start + batch_size])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
+            backward()
+            optimizer.step()
+            if not all(np.isfinite(a).all() for a in (optimizer.data, *buffers)):
+                name = next(k for k, a in module.named_arrays() if not np.isfinite(a).all())
+                raise DivergenceError(
+                    f"non-finite values in {name} after an optimizer step in epoch {epoch}",
+                    epoch=epoch,
+                )
+            losses.append(loss)
+        yield epoch, float(np.mean(losses))

@@ -279,6 +279,8 @@ def _resolve_schema(variant: str, mi_source: str | None, bands) -> FeatureSchema
                 weights.append(float(value))
             except ValueError:  # no comma, or a weight that is not a number
                 raise DataError(f"{path}:{lineno}: expected label,weight, got {line!r}") from None
+            if not np.isfinite(weights[-1]):
+                raise DataError(f"{path}:{lineno}: weight is not finite: {line!r}")
     return derive_mi_schema(base, np.array(weights))
 
 
@@ -429,6 +431,8 @@ def _read_metrics_csv(path: Path, names: list[str]) -> list[tuple[str, str, list
                 values.append(float(cell))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: {name} is not a number: {cell!r}") from None
+            if not 0.0 <= values[-1] <= 1.0:  # every metric is a ratio; NaN fails this too
+                raise DataError(f"{path}:{lineno}: {name} is {cell!r}, outside [0, 1]")
         rows.append((cells[1], cells[0], values))
     return rows
 

@@ -440,12 +440,19 @@ class TestInputBoundaries:
     def test_report_rejects_a_metric_that_is_not_a_number(self, index_run, tmp_path, capsys):
         path = index_run / "metrics.csv"
         header, row = path.read_text().splitlines()
-        cells = row.split(",")
-        cells[5] = "abc"
-        path.write_text(f"{header}\n{','.join(cells)}\n")
-        rc = main(["report", str(index_run), "--out", str(tmp_path / "summary")])
-        assert rc == 3
-        assert "metrics.csv:2: recall_unburnt is not a number: 'abc'" in capsys.readouterr().err
+        for cell, problem in [
+            ("abc", "is not a number: 'abc'"),
+            ("nan", "is 'nan', outside [0, 1]"),
+            ("inf", "is 'inf', outside [0, 1]"),
+            ("1.5", "is '1.5', outside [0, 1]"),
+        ]:
+            cells = row.split(",")
+            cells[5] = cell
+            path.write_text(f"{header}\n{','.join(cells)}\n")
+            rc = main(["report", str(index_run), "--out", str(tmp_path / "summary")])
+            assert rc == 3
+            assert f"metrics.csv:2: recall_unburnt {problem}" in capsys.readouterr().err
+            assert not (tmp_path / "summary").exists()
 
     def _scene(self, path: Path, bands, **layers) -> Path:
         """A 32x32 scene archive of 10 bands, with ``layers`` replaced."""

@@ -6,13 +6,15 @@ moves the parameter by lr·sign(c)·|c|/(|c|+eps) — an oracle independent
 of the implementation's loop.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from burnmap import autodiff as ad
 from burnmap import nn
 from burnmap.autodiff import Tensor
-from burnmap.errors import ConfigError
+from burnmap.errors import ConfigError, DivergenceError
 
 
 class _Net(nn.Module):
@@ -282,3 +284,43 @@ class TestAdamOwnsStorage:
         for name in state:
             assert not np.array_equal(after[name], state[name])
             assert np.array_equal(after[name], before[name])
+
+
+class TestTrainEpochs:
+    def test_training_mode_shuffle_stream_and_loss_check(self):
+        # Five rows in batches of 2 make three steps an epoch, the last one
+        # ragged. The caller switches to eval mode after every epoch, as
+        # validation does, and the eighth batch (the third epoch's second)
+        # reports an infinite loss.
+        layer = nn.Linear(2, 1, np.random.default_rng(40))
+        optimizer = nn.Adam(layer.parameters())
+        shuffle, replay = np.random.default_rng(41), np.random.default_rng(41)
+        seen, backward_calls = [], []
+
+        def batch(rows):
+            seen.append((layer.training, rows.tolist()))
+            step = len(seen)
+
+            def backward():
+                backward_calls.append(step)
+                for p in layer.parameters():
+                    p.grad = np.ones_like(p.data)
+
+            return (np.inf if step == 8 else float(step)), backward
+
+        epochs = nn.train_epochs(layer, optimizer, 5, 2, 4, shuffle, batch)
+        for k, (epoch, mean_loss) in enumerate(itertools.islice(epochs, 2), 1):
+            order = replay.permutation(5).tolist()
+            assert epoch == k - 1
+            assert seen[-3:] == [(True, order[:2]), (True, order[2:4]), (True, order[4:])]
+            assert mean_loss == float(np.mean([3 * k - 2, 3 * k - 1, 3 * k]))
+            assert shuffle.bit_generator.state == replay.bit_generator.state
+            layer.eval()
+        with pytest.raises(DivergenceError, match="non-finite training loss in epoch 2") as err:
+            next(epochs)
+        assert err.value.epoch == 2
+        assert [training for training, _ in seen] == [True] * 8
+        assert backward_calls == list(range(1, 8))
+        assert optimizer.t == 7
+        replay.permutation(5)
+        assert shuffle.bit_generator.state == replay.bit_generator.state

@@ -253,7 +253,9 @@ class TestMlRun:
         with pytest.raises(DataError, match=f"{name} is not UTF-8 text: byte 0xff at offset 12"):
             cmd_ml_run(cfg, tmp_path / "out", seed=8)
 
-    @pytest.mark.parametrize("damaged", ["pre:B02,abc", "pre:B02 0.5", "pre:B02,"])
+    @pytest.mark.parametrize(
+        "damaged", ["pre:B02,abc", "pre:B02 0.5", "pre:B02,", "pre:B02,nan", "pre:B02,inf"]
+    )
     def test_unparsable_importance_is_data_error(
         self, rf_all_run, dataset_dir, tmp_path, damaged
     ):

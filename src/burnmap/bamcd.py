@@ -244,13 +244,17 @@ class BamCdModel(nn.Module):
         pre_feats = self.encoder.forward(x_pre)
         post_encoder = self.encoder_post if self.encoder_post is not None else self.encoder
         post_feats = post_encoder.forward(x_post)
+        # A level's skip is its pre and post maps side by side (concat) or
+        # their difference (diff). Concat-mode pairs go straight into their
+        # decoder level's concat; only the deepest pair is joined on its own.
         if self.config.skip_mode == "concat":
-            skips = [ad.concat([a, b], axis=1) for a, b in zip(pre_feats, post_feats)]
+            skips = list(zip(pre_feats, post_feats))
+            d = ad.concat([pre_feats[-1], post_feats[-1]], axis=1)
         else:
-            skips = [ad.add(a, ad.mul(b, -1.0)) for a, b in zip(pre_feats, post_feats)]
-        d = skips[-1]
+            skips = [(ad.add(a, ad.mul(b, -1.0)),) for a, b in zip(pre_feats, post_feats)]
+            d = skips[-1][0]
         for lvl, level in zip(range(len(skips) - 2, -1, -1), self.decoder):
-            d = ad.concat([ad.upsample2x(d), skips[lvl]], axis=1)
+            d = ad.concat([ad.upsample2x(d), *skips[lvl]], axis=1)
             d = level.forward(d)
         return ad.sigmoid(self.head.forward(d))
 
@@ -394,8 +398,15 @@ def train(
 def predict_scene(
     model: BamCdModel, pre: RasterPatch, post: RasterPatch, patch_size: int
 ) -> np.ndarray:
-    """Tile a full scene, run forward per tile, threshold at 0.5, stitch in
-    row-major order. Edge-padded to full tiles, cropped back afterwards."""
+    """Burnt mask (uint8, the scene's height x width) of a full scene.
+
+    Tiles of ``patch_size`` run in row-major order, in batches of the
+    model's ``batch_size``. Each batch's tiles are cut straight from the
+    scene; only the short tiles on the bottom and right borders are
+    edge-padded to full size. Each batch is thresholded at 0.5 into the
+    output mask, so memory holds the mask and one batch of tiles, not a
+    copy of the scene.
+    """
     _check_patch(pre, model.config, "pre scene")
     _check_patch(post, model.config, "post scene")
     if pre.data.shape != post.data.shape:
@@ -410,22 +421,34 @@ def predict_scene(
             f"patch size {patch_size} not divisible by the network stride "
             f"{model.config.total_stride}"
         )
-    rows = -(-height // patch_size)
-    cols = -(-width // patch_size)
-    pad = ((0, 0), (0, rows * patch_size - height), (0, cols * patch_size - width))
-
-    def tiles(patch: RasterPatch) -> np.ndarray:
-        """(rows * cols, C, P, P) tiles of the edge-padded scene, row-major."""
-        grid = np.pad(patch.data, pad, mode="edge").reshape(
-            -1, rows, patch_size, cols, patch_size
-        )
-        return grid.transpose(1, 3, 0, 2, 4).reshape(-1, grid.shape[0], patch_size, patch_size)
-
+    windows = [
+        (slice(r, r + patch_size), slice(c, c + patch_size))
+        for r in range(0, height, patch_size)
+        for c in range(0, width, patch_size)
+    ]
+    batch_size = model.config.batch_size
+    x_pre = np.empty(
+        (min(batch_size, len(windows)), len(pre.bands), patch_size, patch_size), np.float32
+    )
+    x_post = np.empty_like(x_pre)
+    out = np.empty((height, width), np.uint8)
     model.eval()
-    probs = _forward_probs(model, tiles(pre), tiles(post), model.config.batch_size)
-    binary = (probs >= PROBABILITY_THRESHOLD).astype(np.uint8)
-    out = binary.reshape(rows, cols, patch_size, patch_size).transpose(0, 2, 1, 3)
-    return out.reshape(rows * patch_size, cols * patch_size)[:height, :width]
+    with ad.no_grad():
+        for start in range(0, len(windows), batch_size):
+            batch = windows[start:start + batch_size]
+            for k, window in enumerate(batch):
+                for x, scene in ((x_pre, pre), (x_post, post)):
+                    tile = scene.data[(slice(None), *window)]
+                    h, w = tile.shape[1:]
+                    x[k, :, :h, :w] = tile
+                    x[k, :, h:, :w] = x[k, :, h - 1:h, :w]  # edge padding: rows,
+                    x[k, :, :, w:] = x[k, :, :, w - 1:w]  # then columns
+            n = len(batch)
+            probs = model.forward_batch(Tensor(x_pre[:n]), Tensor(x_post[:n])).data[:, 0]
+            for k, window in enumerate(batch):
+                block = out[window]
+                block[...] = probs[k, :block.shape[0], :block.shape[1]] >= PROBABILITY_THRESHOLD
+    return out
 
 
 # ---------------------------------------------------------------- persistence

@@ -84,26 +84,17 @@ class Module:
         """Copy arrays into parameters and buffers in place; names and
         shapes must match exactly. Writing into the existing arrays keeps a
         model whose parameters an ``Adam`` owns bound to that optimizer."""
-        expected = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
-        missing = (set(expected) | set(buffers)) - set(state)
-        extra = set(state) - (set(expected) | set(buffers))
+        arrays = dict(self.named_arrays())
+        missing = arrays.keys() - state.keys()
+        extra = state.keys() - arrays.keys()
         if missing or extra:
             raise ConfigError(
                 f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
-        for name, p in expected.items():
-            arr = state[name]
-            if arr.shape != p.data.shape:
-                raise ConfigError(
-                    f"parameter {name}: shape {arr.shape} != {p.data.shape}"
-                )
-            p.data[...] = arr
-        for name, b in buffers.items():
-            arr = state[name]
-            if arr.shape != b.shape:
-                raise ConfigError(f"buffer {name}: shape {arr.shape} != {b.shape}")
-            b[...] = arr
+        for name, a in arrays.items():
+            if state[name].shape != a.shape:
+                raise ConfigError(f"array {name}: shape {state[name].shape} != {a.shape}")
+            a[...] = state[name]
 
     def zero_grad(self):
         for p in self.parameters():

@@ -1,8 +1,9 @@
 """Patch data model: bands, reflectance patches, bitemporal samples, tiling.
 
 Reflectance is dimensionless surface reflectance stored as float32 in
-[band][row][col] order. Ingestion clips outliers to a configurable ceiling
-and cuts scenes into non-overlapping square tiles, dropping partial borders.
+[band][row][col] order. Ingestion clips a scene's outliers in place to a
+configurable ceiling and cuts the scene into non-overlapping square tiles,
+views of it, dropping partial borders.
 Inputs are assumed to be co-registered and already resampled to a common
 ground sampling distance; no resampling happens here.
 """
@@ -49,6 +50,8 @@ class RasterPatch:
 
     def __post_init__(self):
         self.bands = tuple(BandId(b) for b in self.bands)
+        if not self.bands:
+            raise DataError("patch has no bands")
         if len(set(self.bands)) != len(self.bands):
             raise DataError(f"duplicate bands in patch: {[b.value for b in self.bands]}")
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -159,10 +162,11 @@ class BitemporalSample:
 
 
 def clip_reflectance(data: np.ndarray, clip_max: float) -> np.ndarray:
-    """Clip reflectance outliers into [0, clip_max]. Idempotent."""
+    """Clip reflectance outliers into [0, clip_max] in place and return
+    ``data``. Idempotent."""
     if clip_max <= 0:
         raise DataError(f"clip_max must be positive, got {clip_max}")
-    return np.clip(data, 0.0, np.float32(clip_max))
+    return np.clip(data, 0.0, np.float32(clip_max), out=data)
 
 
 def ingest_scene(
@@ -171,9 +175,11 @@ def ingest_scene(
     """Cut a scene into non-overlapping patch_size tiles in row-major order.
 
     The scene is one sample, so its bands and layer shapes are already
-    checked. Border pixels beyond the last full tile are dropped. All
-    reflectances are clipped to [0, clip_max]. Tiles keep the scene's split
-    and are named "<event_id>/r<i>c<j>".
+    checked. Border pixels beyond the last full tile are dropped. The
+    scene is consumed: its pre and post reflectances are clipped to
+    [0, clip_max] in place, and every tile's arrays are views of the
+    scene's, so ingesting adds no copy of the scene. Tiles keep the
+    scene's split and are named "<event_id>/r<i>c<j>".
     """
     if patch_size <= 0 or scene.height < patch_size or scene.width < patch_size:
         raise DataError(

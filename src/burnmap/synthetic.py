@@ -184,7 +184,14 @@ def _render(
     width: int,
     n_burn: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One scene as float64 cubes: (pre, post, truth, water)."""
+    """One scene: float32 (pre, post) reflectance cubes and boolean (truth,
+    water) masks.
+
+    The cubes are built in float64; noise goes in one band plane at a time,
+    drawn in the order of one cube-sized draw, and each cube is cast to
+    float32 as soon as it is clipped. So the scene peaks near 2.5 times its
+    float32 output, not at a cube-sized noise array beside both cubes.
+    """
     bands = cfg.bands
     veg = _profile_vector(VEGETATION_PROFILE, bands)
     burnt = _profile_vector(BURNT_PROFILE, bands)
@@ -220,8 +227,8 @@ def _render(
         post[bands.index(BandId.B12)][blob] += rng.uniform(*_DISTRACTOR_SHIFT)
 
     if cfg.noise > 0:
-        pre += rng.normal(0.0, cfg.noise, pre.shape)
-        post += rng.normal(0.0, cfg.noise, post.shape)
+        for plane in (*pre, *post):
+            plane += rng.normal(0.0, cfg.noise, plane.shape)
 
     n_out = int(round(cfg.outlier_frac * height * width))
     if n_out > 0:
@@ -233,8 +240,8 @@ def _render(
         for cube, which in ((pre, epoch == 0), (post, epoch == 1)):
             cube[band_idx[which], rows[which], cols[which]] += mag[which]
 
-    np.clip(pre, 0.0, 1.0, out=pre)
-    np.clip(post, 0.0, 1.0, out=post)
+    pre = np.clip(pre, 0.0, 1.0, out=pre).astype(np.float32)
+    post = np.clip(post, 0.0, 1.0, out=post).astype(np.float32)
     return pre, post, truth, water
 
 

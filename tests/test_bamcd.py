@@ -1,6 +1,7 @@
 """Tests for the bitemporal change-detection network."""
 
 import dataclasses
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -633,6 +634,34 @@ class TestPredictScene:
                 expected[sl[1], sl[2]] = (probs >= 0.5).astype(np.uint8)
         assert margin > 1e-4  # guard: comparison below is ulp-safe
         assert np.array_equal(got, expected[:19, :29])
+
+    def test_peak_memory_does_not_grow_with_the_scene(self):
+        """Tiles are cut batch by batch, so beyond the uint8 mask the traced
+        peak is the same for a one-batch scene and a 10x9-tile scene whose
+        sides are not multiples of the tile; an edge-padded copy of the
+        scene would add about three scene-sized float32 dates."""
+        model = build(TINY)
+        rng = np.random.default_rng(19)
+
+        def scene(height, width):
+            shape = (len(ALL_BANDS), height, width)
+            return [RasterPatch(ALL_BANDS, rng.uniform(0.05, 0.5, shape).astype(np.float32))
+                    for _ in range(2)]
+
+        def peak_beyond_mask(pre, post):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                mask = predict_scene(model, pre, post, patch_size=16)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return peak - mask.nbytes
+
+        small, large = scene(32, 32), scene(150, 140)
+        predict_scene(model, *small, patch_size=16)  # warm caches outside the trace
+        growth = peak_beyond_mask(*large) - peak_beyond_mask(*small)
+        assert growth < (large[0].data.nbytes - small[0].data.nbytes) / 4
 
     def test_scene_smaller_than_patch_rejected(self):
         model = build(TINY)

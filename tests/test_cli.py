@@ -517,6 +517,14 @@ class TestInputBoundaries:
         assert self._ingest(scene, tmp_path) == 3
         assert f"scene file {scene}: {message}" in capsys.readouterr().err
 
+    def test_scene_without_bands_is_data_error(self, tmp_path, capsys):
+        """An empty band list would write patch records that every reader
+        refuses; ingest refuses the archive instead."""
+        empty = np.zeros((0, 32, 32), np.float32)
+        scene = self._scene(tmp_path / "scene.npz", [], pre=empty, post=empty)
+        assert self._ingest(scene, tmp_path) == 3
+        assert f"scene file {scene}: patch has no bands" in capsys.readouterr().err
+
     def test_non_binary_patch_water_names_the_file(self, dataset_dir, tmp_path, capsys):
         """A water mask is checked like the truth mask when a patch loads."""
         data = tmp_path / "data"

@@ -55,6 +55,10 @@ class TestRasterPatch:
         with pytest.raises(DataError, match="duplicate"):
             RasterPatch((BandId.B04, BandId.B04), np.zeros((2, 4, 4)))
 
+    def test_no_bands_rejected(self):
+        with pytest.raises(DataError, match="patch has no bands"):
+            RasterPatch((), np.zeros((0, 4, 4), np.float32))
+
     def test_data_cast_to_float32(self):
         p = RasterPatch((BandId.B04,), np.zeros((1, 2, 2), dtype=np.float64))
         assert p.data.dtype == np.float32
@@ -144,13 +148,14 @@ class TestClipReflectance:
     def test_clips_into_range(self):
         data = np.array([-0.2, 0.0, 0.5, 1.0, 3.7], dtype=np.float32)
         out = clip_reflectance(data, 1.0)
+        assert out is data  # clipped in place
         np.testing.assert_array_equal(out, [0.0, 0.0, 0.5, 1.0, 1.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         data = rng.normal(0.4, 0.8, size=(3, 8, 8)).astype(np.float32)
         once = clip_reflectance(data, 1.0)
-        np.testing.assert_array_equal(clip_reflectance(once, 1.0), once)
+        np.testing.assert_array_equal(clip_reflectance(once.copy(), 1.0), once)
 
     def test_bad_clip_max(self):
         with pytest.raises(DataError):
@@ -209,6 +214,21 @@ class TestIngestScene:
     def test_scene_smaller_than_patch(self):
         with pytest.raises(DataError, match="smaller"):
             ingest_scene(self.scene(16, 16), patch_size=32)
+
+    def test_tiles_are_views_of_the_clipped_scene(self):
+        """The scene is clipped in place and every tile shares its memory,
+        so ingesting adds no copy of the scene."""
+        scene = self.scene(70, 100)
+        scene.post.data[1, 40, 70] = 3.0
+        scene.pre.data[0, 5, 5] = -0.5
+        pre, post = scene.pre.data, scene.post.data
+        tiles = ingest_scene(scene, patch_size=32, clip_max=1.0)
+        assert scene.pre.data is pre and scene.post.data is post
+        assert post[1, 40, 70] == 1.0 and pre[0, 5, 5] == 0.0
+        assert tiles[5].post.data[1, 8, 6] == 1.0  # tile r1c2
+        for t in tiles:
+            assert np.shares_memory(t.pre.data, pre)
+            assert np.shares_memory(t.post.data, post)
 
 
 class TestBalanceNegatives:

@@ -300,10 +300,7 @@ def forward(model: BamCdModel, pre: RasterPatch, post: RasterPatch) -> np.ndarra
     _check_patch(post, model.config, "post")
     if pre.data.shape != post.data.shape:
         raise DataError(f"patch shapes disagree: {pre.data.shape} vs {post.data.shape}")
-    model.eval()
-    with ad.no_grad():
-        probs = model.forward_batch(Tensor(pre.data[None]), Tensor(post.data[None]))
-    return probs.data[0, 0]
+    return _forward_probs(model, pre.data[None], post.data[None])[0]
 
 
 @dataclass(frozen=True)
@@ -327,8 +324,13 @@ def _loss_fn(config: BamCdConfig):
     return ad.LOSSES[config.loss]
 
 
-def _forward_probs(model: BamCdModel, x_pre, x_post, batch_size: int) -> np.ndarray:
-    """Inference over a sample stack in fixed-size batches."""
+def _forward_probs(model: BamCdModel, x_pre, x_post) -> np.ndarray:
+    """Burnt-probability maps (N, H, W) of NCHW pre and post stacks: the one
+    inference path. It puts the model in eval mode, so batch norm uses and
+    keeps its running statistics, builds no graph, and runs the stacks in
+    batches of the model's ``batch_size``."""
+    model.eval()
+    batch_size = model.config.batch_size
     out = np.empty((x_pre.shape[0], *x_pre.shape[2:]), np.float32)
     with ad.no_grad():
         for start in range(0, x_pre.shape[0], batch_size):
@@ -338,27 +340,25 @@ def _forward_probs(model: BamCdModel, x_pre, x_post, batch_size: int) -> np.ndar
     return out
 
 
-def stack_metrics(model: BamCdModel, x_pre, x_post, truth, batch_size: int) -> MetricReport:
+def stack_metrics(model: BamCdModel, x_pre, x_post, truth) -> MetricReport:
     """Pooled metrics of the thresholded probability maps of a sample stack
-    (see ``stack_samples``), run in eval mode in batches of ``batch_size``."""
-    model.eval()
-    probs = _forward_probs(model, x_pre, x_post, batch_size)
+    (see ``stack_samples``)."""
+    probs = _forward_probs(model, x_pre, x_post)
     return compute_metrics(accumulate(probs >= PROBABILITY_THRESHOLD, truth[:, 0]))
 
 
-def validation_f1(model: BamCdModel, x_pre, x_post, truth, batch_size: int) -> float:
-    return stack_metrics(model, x_pre, x_post, truth, batch_size).burnt.f1
+def validation_f1(model: BamCdModel, x_pre, x_post, truth) -> float:
+    return stack_metrics(model, x_pre, x_post, truth).burnt.f1
 
 
 def train(
     model: BamCdModel,
     train_samples: list[BitemporalSample],
     val_samples: list[BitemporalSample],
-    config: BamCdConfig | None = None,
 ) -> tuple[BamCdModel, list[EpochStats]]:
-    """Optimize on the train split; return the best-val-burnt-F1 checkpoint
-    and the per-epoch trace."""
-    config = config if config is not None else model.config
+    """Optimize on the train split with ``model.config``; return the
+    best-val-burnt-F1 checkpoint and the per-epoch trace."""
+    config = model.config
     if not train_samples:
         raise DataError("training requires a non-empty train split")
     if not val_samples:
@@ -385,7 +385,7 @@ def train(
         model, optimizer, x_pre.shape[0], config.batch_size, config.epochs,
         rng_for(config.seed, "train/shuffle"), batch,
     ):
-        f1 = validation_f1(model, v_pre, v_post, v_truth, config.batch_size)
+        f1 = validation_f1(model, v_pre, v_post, v_truth)
         trace.append(EpochStats(epoch, train_loss, f1))
         if f1 > best_f1:
             best_f1 = f1
@@ -432,22 +432,20 @@ def predict_scene(
     )
     x_post = np.empty_like(x_pre)
     out = np.empty((height, width), np.uint8)
-    model.eval()
-    with ad.no_grad():
-        for start in range(0, len(windows), batch_size):
-            batch = windows[start:start + batch_size]
-            for k, window in enumerate(batch):
-                for x, scene in ((x_pre, pre), (x_post, post)):
-                    tile = scene.data[(slice(None), *window)]
-                    h, w = tile.shape[1:]
-                    x[k, :, :h, :w] = tile
-                    x[k, :, h:, :w] = x[k, :, h - 1:h, :w]  # edge padding: rows,
-                    x[k, :, :, w:] = x[k, :, :, w - 1:w]  # then columns
-            n = len(batch)
-            probs = model.forward_batch(Tensor(x_pre[:n]), Tensor(x_post[:n])).data[:, 0]
-            for k, window in enumerate(batch):
-                block = out[window]
-                block[...] = probs[k, :block.shape[0], :block.shape[1]] >= PROBABILITY_THRESHOLD
+    for start in range(0, len(windows), batch_size):
+        batch = windows[start:start + batch_size]
+        for k, window in enumerate(batch):
+            for x, scene in ((x_pre, pre), (x_post, post)):
+                tile = scene.data[(slice(None), *window)]
+                h, w = tile.shape[1:]
+                x[k, :, :h, :w] = tile
+                x[k, :, h:, :w] = x[k, :, h - 1:h, :w]  # edge padding: rows,
+                x[k, :, :, w:] = x[k, :, :, w - 1:w]  # then columns
+        n = len(batch)
+        probs = _forward_probs(model, x_pre[:n], x_post[:n])
+        for k, window in enumerate(batch):
+            block = out[window]
+            block[...] = probs[k, :block.shape[0], :block.shape[1]] >= PROBABILITY_THRESHOLD
     return out
 
 

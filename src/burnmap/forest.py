@@ -218,21 +218,18 @@ def _tree_predict(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     return tree.value[node]
 
 
-def rf_predict(model: RandomForestModel, x: np.ndarray) -> np.ndarray | float:
-    """Mean leaf burnt-fraction across trees; scalar in, scalar out."""
+def rf_predict(model: RandomForestModel, x: np.ndarray) -> np.ndarray:
+    """Mean leaf burnt-fraction across trees of each row of an (n, d) array,
+    as an (n,) float64 array."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.n_features:
         raise DataError(
-            f"feature vector length {arr.shape[-1]} != model dimensionality {model.n_features}"
+            f"feature shape {arr.shape} is not (n, model dimensionality {model.n_features})"
         )
     acc = np.zeros(arr.shape[0], dtype=np.float64)
     for tree in model.trees:
         acc += _tree_predict(tree, arr)
-    proba = acc / len(model.trees)
-    return float(proba[0]) if single else proba
+    return acc / len(model.trees)
 
 
 def save_forest(path: str | Path, model: RandomForestModel):

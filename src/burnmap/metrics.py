@@ -27,10 +27,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise DataError("confusion counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
             self.tp + other.tp,

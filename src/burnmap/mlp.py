@@ -44,8 +44,8 @@ EPOCHS = 50
 class MlpModel:
     widths: tuple[int, ...]
     layers: nn.ModuleList
-    offset: np.ndarray | None = None  # per-feature mean; None = raw inputs
-    scale: np.ndarray | None = None  # per-feature deviation; 1 where constant
+    offset: np.ndarray  # per-feature mean
+    scale: np.ndarray  # per-feature deviation; 1 where constant
     loss_trace: list[float] = field(default_factory=list)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -80,8 +80,6 @@ class MlpModel:
                 flow *= inputs[i] > 0
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        if self.offset is None:
-            return x
         return (x - self.offset) / self.scale
 
 
@@ -93,6 +91,10 @@ def _build_layers(widths: tuple[int, ...], seed: int, dtype=np.float32) -> nn.Mo
 
 
 def build_mlp(n_features: int, widths=None, seed: int = 0, dtype=np.float32) -> MlpModel:
+    """An untrained model of ``widths`` (default [d, 128, 64, 1]) whose
+    layers draw from ``seed``, with identity input scaling (offset 0, scale
+    1) in ``dtype``; ``mlp_fit`` overwrites the scaling with the training
+    moments."""
     if widths is None:
         widths = (n_features, *HIDDEN_WIDTHS, 1)
     widths = tuple(int(w) for w in widths)
@@ -102,7 +104,8 @@ def build_mlp(n_features: int, widths=None, seed: int = 0, dtype=np.float32) -> 
         raise ConfigError(f"first width {widths[0]} != feature dimensionality {n_features}")
     if widths[-1] != 1:
         raise ConfigError(f"last width must be 1 (burnt probability), got {widths[-1]}")
-    return MlpModel(widths=widths, layers=_build_layers(widths, seed, dtype))
+    layers = _build_layers(widths, seed, dtype)
+    return MlpModel(widths, layers, np.zeros(n_features, dtype), np.ones(n_features, dtype))
 
 
 def mlp_fit(
@@ -147,24 +150,19 @@ def _batch_gradients(model: MlpModel, x: np.ndarray, t: np.ndarray):
     return float(loss), backward
 
 
-def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray | float:
+def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Burnt probability of each row of an (n, d) array, as an (n,) float64
+    array; the rows are cast to float32 and scaled as in training."""
     arr = np.asarray(x, dtype=np.float32)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.widths[0]:
         raise DataError(
-            f"feature vector length {arr.shape[-1]} != model dimensionality {model.widths[0]}"
+            f"feature shape {arr.shape} is not (n, model dimensionality {model.widths[0]})"
         )
-    proba = model.forward(model.normalize(arr))[:, 0].astype(np.float64)
-    return float(proba[0]) if single else proba
+    return model.forward(model.normalize(arr))[:, 0].astype(np.float64)
 
 
 def save_mlp(path: str | Path, model: MlpModel):
-    blocks: dict[str, np.ndarray] = {}
-    if model.offset is not None:
-        blocks["norm/offset"] = model.offset
-        blocks["norm/scale"] = model.scale
+    blocks = {"norm/offset": model.offset, "norm/scale": model.scale}
     for name, p in model.layers.named_parameters():
         blocks[name] = p.data
     save_model(path, "mlp", {"widths": model.widths}, blocks)
@@ -173,9 +171,8 @@ def save_mlp(path: str | Path, model: MlpModel):
 def _mlp_from_blocks(meta: dict, blocks: dict[str, np.ndarray]) -> MlpModel:
     widths = meta["widths"]
     model = build_mlp(widths[0], widths=widths, seed=0)
-    if "norm/offset" in blocks:
-        model.offset = blocks["norm/offset"]
-        model.scale = blocks["norm/scale"]
+    model.offset = blocks["norm/offset"]
+    model.scale = blocks["norm/scale"]
     state = {name: blocks[name] for name, _ in model.layers.named_parameters()}
     model.layers.load_state_dict(state)
     return model

@@ -137,19 +137,15 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         bias: bool = False,
-        dtype=np.float32,
     ):
         super().__init__()
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size
         std = float(np.sqrt(2.0 / fan_in))
-        self.weight = Parameter(
-            rng.normal(0.0, std, (out_channels, in_channels, kernel_size, kernel_size)).astype(
-                dtype
-            )
-        )
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
+        shape = (out_channels, in_channels, kernel_size, kernel_size)
+        self.weight = Parameter(rng.normal(0.0, std, shape).astype(np.float32))
+        self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         out = ad.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
@@ -159,14 +155,14 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
+    """Per-channel batch norm with ``autodiff.batchnorm``'s momentum and eps."""
+
+    def __init__(self, channels: int):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(np.ones(channels, dtype=dtype))
-        self.beta = Parameter(np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Parameter(np.ones(channels, dtype=np.float32))
+        self.beta = Parameter(np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
     def forward(self, x: Tensor, shortcut: Tensor | None = None, relu: bool = False) -> Tensor:
         return ad.batchnorm(
@@ -176,8 +172,6 @@ class BatchNorm2d(Module):
             self.running_mean,
             self.running_var,
             training=self.training,
-            momentum=self.momentum,
-            eps=self.eps,
             shortcut=shortcut,
             relu=relu,
         )
@@ -206,12 +200,12 @@ class Adam:
     place, as ``Module.load_state_dict`` does: ``step`` raises RuntimeError
     if a parameter's storage was replaced.
 
-    A step copies the gradients into the gradient buffer and runs each
-    elementwise pass of the update once, in place, over every maximal run
-    of consecutive parameters that have a gradient, ending with one
-    in-place subtraction from that run of ``data``. A parameter whose
-    ``grad`` is None is skipped. Every pass is elementwise, so the result
-    is bit for bit that of updating the parameters one at a time. All
+    A step copies every parameter's gradient into the gradient buffer, then
+    runs each elementwise pass of the update once, in place, over the whole
+    buffer, ending with one in-place subtraction from ``data``. Every
+    parameter must have a gradient: one whose ``grad`` is None raises
+    ShapeError naming it by position. Every pass is elementwise, so the
+    result is bit for bit that of updating the parameters one at a time. All
     parameters must share one dtype; gradients are cast to it.
     """
 
@@ -238,41 +232,30 @@ class Adam:
         self._v = np.zeros(size, dtype)
         self._g = np.empty(size, dtype)
         self._tmp = np.empty(size, dtype)
-        # (parameter, its view of data, its view of the gradient buffer, offset)
+        # (parameter, its view of data, its view of the gradient buffer)
         self._slots = []
         for p, lo, hi in zip(self.params, offsets, offsets[1:]):
             view = self.data[lo:hi].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self._slots.append((p, view, self._g[lo:hi].reshape(view.shape), lo))
+            self._slots.append((p, view, self._g[lo:hi].reshape(view.shape)))
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        run = None  # offset where the current run of parameters with gradients began
-        for p, view, grad, lo in self._slots:
+        for i, (p, view, grad) in enumerate(self._slots):
             if p.data is not view:
                 raise RuntimeError(
                     "a parameter's storage was replaced after its optimizer was built; "
                     "write into p.data in place"
                 )
             if p.grad is None:
-                if run is not None:
-                    self._update(run, lo, bc1, bc2)
-                    run = None
-                continue
+                raise ShapeError(f"parameter {i} {view.shape} has no gradient")
             if p.grad.shape != view.shape:
                 raise ShapeError(f"gradient shape {p.grad.shape} != parameter {view.shape}")
             grad[...] = p.grad
-            if run is None:
-                run = lo
-        if run is not None:
-            self._update(run, self.data.size, bc1, bc2)
-
-    def _update(self, lo: int, hi: int, bc1: float, bc2: float):
-        """One Adam update of data[lo:hi] from the gradient buffer's slice."""
-        m, v, g, tmp = self._m[lo:hi], self._v[lo:hi], self._g[lo:hi], self._tmp[lo:hi]
+        m, v, g, tmp = self._m, self._v, self._g, self._tmp
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=tmp)
         m += tmp
@@ -287,7 +270,7 @@ class Adam:
         np.divide(m, bc1, out=g)
         g *= self.lr
         g /= tmp
-        self.data[lo:hi] -= g
+        self.data -= g
 
 
 def train_epochs(

@@ -10,7 +10,7 @@ ground sampling distance; no resampling happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -54,7 +54,10 @@ class RasterPatch:
             raise DataError("patch has no bands")
         if len(set(self.bands)) != len(self.bands):
             raise DataError(f"duplicate bands in patch: {[b.value for b in self.bands]}")
-        self.data = np.asarray(self.data, dtype=np.float32)
+        data = np.asarray(self.data)
+        if data.dtype.kind not in "biuf":  # a cast would drop an imaginary part
+            raise DataError(f"patch data of dtype {data.dtype} is not real reflectance")
+        self.data = data.astype(np.float32, copy=False)
         if self.data.ndim != 3 or self.data.shape[0] != len(self.bands):
             raise DataError(
                 f"patch data shape {self.data.shape} does not match {len(self.bands)} bands"

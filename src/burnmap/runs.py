@@ -145,36 +145,42 @@ INGEST_FIELDS = {
 }
 
 
-def _read_scene(path: str) -> dict[str, np.ndarray]:
-    """The arrays of a scene archive; one that cannot be read raises
-    DataError naming the file."""
+def _read_scene(path: str, split: str) -> BitemporalSample:
+    """A scene archive as one sample; every error is a DataError naming the file."""
     try:
         with np.load(path, allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
+            return _scene_sample(archive, Path(path).stem, split)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:  # ValueError: a damaged .npy
         raise DataError(f"cannot read scene file {path}: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"scene file {path}: {exc}") from None
 
 
-def _scene_sample(arrays: dict[str, np.ndarray], event_id: str, split: str) -> BitemporalSample:
+def _scene_sample(archive: np.lib.npyio.NpzFile, event_id: str, split: str) -> BitemporalSample:
     """A scene archive's arrays as one sample: bands (names), pre/post
-    (C,H,W), truth (H,W), water?. The sample checks the bands and shapes."""
+    (C,H,W), truth (H,W), water?. The sample checks the bands and shapes.
+
+    The archive decodes a member on every access, so each is read once, and
+    in turn: a date's array is dropped as soon as its float32 patch exists,
+    so a float64 archive never holds both dates at both precisions."""
     for required in ("bands", "pre", "post", "truth"):
-        if required not in arrays:
+        if required not in archive.files:
             raise DataError(f"missing array {required!r}")
+    names = archive["bands"]
     try:
-        bands = tuple(BandId(str(b)) for b in arrays["bands"])
+        bands = tuple(BandId(str(b)) for b in names)
     except (TypeError, ValueError) as exc:  # a 0-d array, or a name that is not a band
         raise DataError(f"array 'bands': {exc}") from None
 
     def mask(name: str) -> GroundTruthMask:  # truth and water are both 0/1 masks
         try:
-            return GroundTruthMask(arrays[name])
+            return GroundTruthMask(archive[name])
         except DataError as exc:
             raise DataError(f"array {name!r}: {exc}") from None
 
     return BitemporalSample(
-        RasterPatch(bands, arrays["pre"]), RasterPatch(bands, arrays["post"]), mask("truth"),
-        mask("water").labels if "water" in arrays else None, event_id, split,
+        RasterPatch(bands, archive["pre"]), RasterPatch(bands, archive["post"]), mask("truth"),
+        mask("water").labels if "water" in archive.files else None, event_id, split,
     )
 
 
@@ -187,9 +193,8 @@ def cmd_ingest(config: dict[str, str], out_dir: Path, seed: int) -> Path:
         raise ConfigError(f"ingest needs at least one of {'/'.join(SCENE_KEYS)}")
     samples = []
     for key, path in fields.items():
-        arrays = _read_scene(path)
+        scene = _read_scene(path, key.partition("_")[2])
         try:
-            scene = _scene_sample(arrays, Path(path).stem, key.partition("_")[2])
             samples += ingest_scene(scene, patch_size, clip_max)
         except DataError as exc:
             raise DataError(f"scene file {path}: {exc}") from None
@@ -292,7 +297,7 @@ def _evaluate_pixel_model(predict, schema, samples) -> MetricReport:
         x = np.ascontiguousarray(feature_cube(schema, s).reshape(len(schema), -1).T)
         zero_nonfinite(x)
         probs = predict(x)
-        mask = (probs >= 0.5).astype(np.uint8).reshape(s.truth.labels.shape)
+        mask = (probs >= bamcd.PROBABILITY_THRESHOLD).astype(np.uint8).reshape(s.truth.labels.shape)
         counts = counts + accumulate(mask, s.truth.labels)
     return compute_metrics(counts)
 
@@ -373,7 +378,7 @@ DL_FIELDS.update(
 def evaluate_network(model: bamcd.BamCdModel, samples) -> MetricReport:
     """Pooled test-pixel metrics of thresholded probability maps."""
     x_pre, x_post, truth = bamcd.stack_samples(samples, model.config)
-    return bamcd.stack_metrics(model, x_pre, x_post, truth, model.config.batch_size)
+    return bamcd.stack_metrics(model, x_pre, x_post, truth)
 
 
 def cmd_dl_run(
@@ -400,8 +405,7 @@ def cmd_dl_run(
         run_seed = derive_seed(seed, f"repeat/{r}")
         seeds.append(run_seed)
         cfg = replace(base, seed=run_seed)
-        model = bamcd.build(cfg)
-        model, trace = bamcd.train(model, train_split, val_split, cfg)
+        model, trace = bamcd.train(bamcd.build(cfg), train_split, val_split)
         bamcd.save_bamcd(out_dir / f"checkpoint_r{r}.npb", model)
         _write(out_dir / f"trace_r{r}.csv", bamcd.trace_to_text(trace))
         reports.append(evaluate_network(model, test_split))
@@ -434,6 +438,8 @@ def _read_metrics_csv(path: Path, names: list[str]) -> list[tuple[str, str, list
             if not 0.0 <= values[-1] <= 1.0:  # every metric is a ratio; NaN fails this too
                 raise DataError(f"{path}:{lineno}: {name} is {cell!r}, outside [0, 1]")
         rows.append((cells[1], cells[0], values))
+    if not rows:  # every run writes at least one row
+        raise DataError(f"{path}: no rows under the header")
     return rows
 
 

@@ -320,7 +320,7 @@ def test_criterion_08_network_benchmark(announce):
     cfg = mini_config(seed=200)
     assert cfg.epochs <= 30
     t0 = time.perf_counter()
-    model, trace = train(build(cfg), train_s, val_s, config=cfg)
+    model, trace = train(build(cfg), train_s, val_s)
     t_train = time.perf_counter() - t0
     assert t_train < 900.0
 
@@ -328,7 +328,7 @@ def test_criterion_08_network_benchmark(announce):
     assert report.burnt.iou >= 0.85
     assert report.burnt.iou >= oracle_report.burnt.iou
 
-    _, retrace = train(build(cfg), train_s, val_s, config=cfg)
+    _, retrace = train(build(cfg), train_s, val_s)
     assert trace_to_text(retrace) == trace_to_text(trace)
 
     announce(

@@ -378,7 +378,7 @@ class TestSkipModes:
     def test_diff_trains(self):
         samples = make_samples(6, 22)
         cfg = replace(TINY, skip_mode="diff", epochs=2)
-        _, trace = train(build(cfg), samples[:4], samples[4:], config=cfg)
+        _, trace = train(build(cfg), samples[:4], samples[4:])
         assert len(trace) == 2
         assert all(np.isfinite(t.train_loss) for t in trace)
 
@@ -450,7 +450,7 @@ class TestTraining:
         the same shuffled batch, bit for bit."""
         samples_t, samples_v = make_samples(4, 41), make_samples(2, 42)
         config = replace(TINY, epochs=1, batch_size=4, loss="bce")
-        _, trace = train(build(config), samples_t, samples_v, config)
+        _, trace = train(build(config), samples_t, samples_v)
 
         replica = build(config)
         replica.train()
@@ -522,7 +522,7 @@ class TestTraining:
         config = replace(TINY, epochs=20, loss="bce_dice", seed=5, learning_rate=0.01)
         model = build(config)
         val = make_samples(3, 62)
-        _, trace = train(model, make_samples(8, 61), val, config)
+        _, trace = train(model, make_samples(8, 61), val)
         assert max(t.val_f1_burnt for t in trace) >= 0.80
 
         # swapping acquisition order must change the prediction
@@ -535,9 +535,9 @@ class TestTraining:
         config = replace(TINY, epochs=6, seed=3)
         model = build(config)
         val = make_samples(2, 72)
-        model, trace = train(model, make_samples(6, 71), val, config)
+        model, trace = train(model, make_samples(6, 71), val)
         v_pre, v_post, v_truth = stack(val)
-        refit = bamcd.validation_f1(model, v_pre, v_post, v_truth, config.batch_size)
+        refit = bamcd.validation_f1(model, v_pre, v_post, v_truth)
         assert refit == max(t.val_f1_burnt for t in trace)
 
     def test_divergence_raises_with_epoch(self):
@@ -556,21 +556,20 @@ class TestTraining:
         with pytest.raises(
             DivergenceError, match=r"encoder\.stem_conv\.weight .*epoch 0"
         ) as info:
-            train(build(config), samples, make_samples(2, 84), config)
+            train(build(config), samples, make_samples(2, 84))
         assert info.value.epoch == 0
 
     def test_nan_running_variance_raises_divergence(self):
         """Training-mode forwards never read the running statistics, so a NaN
         running variance leaves every parameter finite; the per-step check
         must read the batch-norm buffers as well as the optimizer's."""
-        model = build(TINY)
+        model = build(replace(TINY, epochs=1))
         buffers = dict(model.named_buffers())
         buffers["decoder.0.block.bn1.running_var"][1] = np.nan
-        config = replace(TINY, epochs=1)
         with pytest.raises(
             DivergenceError, match=r"decoder\.0\.block\.bn1\.running_var .*epoch 0"
         ) as info:
-            train(model, make_samples(4, 85), make_samples(2, 86), config)
+            train(model, make_samples(4, 85), make_samples(2, 86))
         assert info.value.epoch == 0
         assert all(np.isfinite(p.data).all() for p in model.parameters())
 
@@ -694,8 +693,42 @@ class TestScoring:
         assert margin > 1e-4
         assert 0 < counts.tp and 0 < counts.tn  # both classes predicted
         x_pre, x_post, truth = bamcd.stack_samples(samples, TINY)
-        report = bamcd.stack_metrics(model, x_pre, x_post, truth, TINY.batch_size)
+        report = bamcd.stack_metrics(model, x_pre, x_post, truth)
         assert report == compute_metrics(counts)
+
+    def test_inference_runs_in_eval_mode_whatever_the_model_mode(self):
+        """forward, stack_metrics and predict_scene give a model left in
+        training mode the maps it gives in eval mode, and leave its
+        batch-norm running statistics where they were."""
+        model = build(replace(TINY, epochs=2))
+        train(model, make_samples(4, 99), make_samples(2, 100))  # statistics off their init
+        samples = make_samples(6, 101)
+        x_pre, x_post, truth = bamcd.stack_samples(samples, TINY)
+
+        def scene(x):  # tiles 0-2 over tiles 3-5: 32x48, two batches of four and two
+            rows = [np.concatenate(list(x[i:i + 3]), axis=2) for i in (0, 3)]
+            return RasterPatch(ALL_BANDS, np.concatenate(rows, axis=1))
+
+        scene_pre, scene_post = scene(x_pre), scene(x_post)
+        s = samples[0]
+
+        def outputs():
+            return (
+                forward(model, s.pre, s.post),
+                bamcd.stack_metrics(model, x_pre, x_post, truth),
+                predict_scene(model, scene_pre, scene_post, patch_size=16),
+            )
+
+        statistics = {name: b.copy() for name, b in model.named_buffers()}
+        model.eval()
+        want_map, want_report, want_mask = outputs()
+        for _ in range(2):
+            model.train()
+            got_map, got_report, got_mask = outputs()
+            assert np.array_equal(got_map, want_map)
+            assert got_report == want_report
+            assert np.array_equal(got_mask, want_mask)
+        assert all(np.array_equal(b, statistics[name]) for name, b in model.named_buffers())
 
 
 class TestSerialization:

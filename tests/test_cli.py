@@ -454,6 +454,14 @@ class TestInputBoundaries:
             assert f"metrics.csv:2: recall_unburnt {problem}" in capsys.readouterr().err
             assert not (tmp_path / "summary").exists()
 
+    def test_report_rejects_a_header_without_rows(self, index_run, tmp_path, capsys):
+        path = index_run / "metrics.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        rc = main(["report", str(index_run), "--out", str(tmp_path / "summary")])
+        assert rc == 3
+        assert f"{path}: no rows under the header" in capsys.readouterr().err
+        assert not (tmp_path / "summary").exists()
+
     def _scene(self, path: Path, bands, **layers) -> Path:
         """A 32x32 scene archive of 10 bands, with ``layers`` replaced."""
         pre, post, truth, water = generate_scene(SyntheticConfig(patch_size=16), 2, 32, 32)
@@ -509,8 +517,15 @@ class TestInputBoundaries:
              "band B02 has non-finite reflectance nan at (row 0, col 0)"),
             ("pre", np.zeros((9, 32, 32), np.float32),
              "patch data shape (9, 32, 32) does not match 10 bands"),
+            ("pre", np.full((10, 32, 32), "0.5"),
+             "patch data of dtype <U3 is not real reflectance"),
+            ("post", np.zeros((10, 32, 32), np.complex64),
+             "patch data of dtype complex64 is not real reflectance"),
         ],
-        ids=["water-32x64", "truth-32x64", "post-32x64", "pre-nan", "pre-9-bands"],
+        ids=[
+            "water-32x64", "truth-32x64", "post-32x64", "pre-nan", "pre-9-bands", "pre-strings",
+            "post-complex",
+        ],
     )
     def test_bad_scene_layer_names_the_file(self, tmp_path, capsys, layer, value, message):
         scene = self._scene(tmp_path / "scene.npz", [b.value for b in ALL_BANDS], **{layer: value})

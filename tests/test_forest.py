@@ -189,7 +189,7 @@ class TestPrediction:
         for i in range(100):
             expected = np.mean([walk_tree(t, probes[i]) for t in model.trees])
             np.testing.assert_allclose(batch[i], expected, rtol=1e-12)
-            np.testing.assert_allclose(rf_predict(model, probes[i]), expected, rtol=1e-12)
+            np.testing.assert_allclose(rf_predict(model, probes[i:i + 1]), [expected], rtol=1e-12)
 
     def test_ensemble_mean_of_leaf_fractions(self):
         model = RandomForestModel(
@@ -199,7 +199,7 @@ class TestPrediction:
             min_leaf=1,
             feature_importances=np.zeros(2),
         )
-        assert rf_predict(model, np.zeros(2)) == 0.5
+        assert rf_predict(model, np.zeros((1, 2))).tolist() == [0.5]
 
     def test_unanimous_votes(self):
         burnt = RandomForestModel(
@@ -216,8 +216,8 @@ class TestPrediction:
             min_leaf=1,
             feature_importances=np.zeros(1),
         )
-        assert rf_predict(burnt, np.zeros(1)) == 1.0
-        assert rf_predict(unburnt, np.zeros(1)) == 0.0
+        assert rf_predict(burnt, np.zeros((1, 1))).tolist() == [1.0]
+        assert rf_predict(unburnt, np.zeros((1, 1))).tolist() == [0.0]
 
     def test_prediction_invariant_to_call_order(self):
         x, y = separable_clusters(seed=3, n=200)
@@ -231,7 +231,9 @@ class TestPrediction:
         x, y = separable_clusters(seed=6, n=100)
         model = rf_fit(x, y, seed=7, n_trees=5)
         with pytest.raises(DataError, match="dimensionality"):
-            rf_predict(model, np.zeros(3))
+            rf_predict(model, np.zeros((1, 3)))
+        with pytest.raises(DataError, match=r"shape \(2,\)"):  # one row is still (1, d)
+            rf_predict(model, np.zeros(2))
 
 
 class TestFitBehaviour:

@@ -18,7 +18,7 @@ class TestAccumulate:
         truth = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 0]], np.uint8)
         c = accumulate(prediction, truth)
         assert (c.tp, c.fp, c.fn, c.tn) == (2, 1, 2, 4)
-        assert c.total == 9
+        assert c.tp + c.fp + c.fn + c.tn == 9
 
     def test_perfect_prediction(self):
         truth = np.array([[1, 0], [0, 1]], np.uint8)

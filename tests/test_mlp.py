@@ -9,7 +9,7 @@ from grad_check import numeric_grad, relative_error
 from burnmap import autodiff as ad
 from burnmap import nn
 from burnmap.autodiff import Tensor
-from burnmap.errors import ConfigError, DataError, DivergenceError, FitError
+from burnmap.errors import ConfigError, DataError, DivergenceError, FitError, FormatError
 from burnmap.metrics import accumulate, compute_metrics
 from burnmap.mlp import _batch_gradients, build_mlp, load_mlp, mlp_fit, mlp_predict, save_mlp
 
@@ -27,20 +27,20 @@ class TestForward:
         model.layers[1].bias.data = np.array([0.5], dtype=np.float32)
         # x = [1, 2]: hidden = relu([1*1+2*0.5, 1*-1+2*2] + [0,-1]) = [2, 2]
         # out = sigmoid(2*1 + 2*-2 + 0.5) = sigmoid(-1.5)
-        out = mlp_predict(model, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(out, _sigmoid(-1.5), rtol=1e-6)
+        out = mlp_predict(model, np.array([[1.0, 2.0]]))
+        np.testing.assert_allclose(out, [_sigmoid(-1.5)], rtol=1e-6)
 
     def test_zero_parameters_give_half(self):
         model = build_mlp(3, widths=(3, 4, 1), seed=1)
         for p in model.layers.parameters():
             p.data = np.zeros_like(p.data)
-        assert mlp_predict(model, np.zeros(3)) == 0.5
+        assert mlp_predict(model, np.zeros((1, 3))).tolist() == [0.5]
 
     def test_large_positive_bias_saturates_to_one(self):
         model = build_mlp(2, widths=(2, 2, 1), seed=2)
         model.layers[1].bias.data = np.array([50.0], dtype=np.float32)
-        out = mlp_predict(model, np.array([0.0, 0.0]))
-        assert out > 0.999999
+        out = mlp_predict(model, np.array([[0.0, 0.0]]))
+        assert out.shape == (1,) and out[0] > 0.999999
 
     def test_output_is_probability(self):
         model = build_mlp(4, seed=3)
@@ -52,7 +52,9 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = build_mlp(4, seed=5)
         with pytest.raises(DataError, match="dimensionality"):
-            mlp_predict(model, np.zeros(3))
+            mlp_predict(model, np.zeros((1, 3)))
+        with pytest.raises(DataError, match=r"shape \(4,\)"):  # one row is still (1, d)
+            mlp_predict(model, np.zeros(4))
 
     def test_prediction_invariant_to_call_order(self):
         model = build_mlp(2, seed=6)
@@ -269,6 +271,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="positive"):
             build_mlp(2, widths=(2, 0, 1), seed=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unfitted_model_scales_by_identity(self, dtype):
+        model = build_mlp(3, widths=(3, 1), seed=0, dtype=dtype)
+        assert model.offset.dtype == model.scale.dtype == dtype
+        assert model.offset.tolist() == [0, 0, 0] and model.scale.tolist() == [1, 1, 1]
+        x = np.random.default_rng(38).standard_normal((5, 3)).astype(dtype)
+        assert np.array_equal(model.normalize(x), x)
+
     def test_training_parameter_validation(self):
         x, y = separable_clusters(seed=32, n=20)
         with pytest.raises(ConfigError, match="batch_size"):
@@ -285,6 +295,16 @@ class TestSerialization:
         probes = np.random.default_rng(35).standard_normal((40, 2))
         np.testing.assert_array_equal(mlp_predict(model, probes), mlp_predict(back, probes))
         assert back.widths == model.widths
+
+    def test_file_without_input_scaling_is_a_format_error(self, tmp_path):
+        from burnmap.modelio import save_model
+
+        model = build_mlp(3, widths=(3, 1), seed=0)
+        path = tmp_path / "unscaled.npb"
+        blocks = {name: p.data for name, p in model.layers.named_parameters()}
+        save_model(path, "mlp", {"widths": model.widths}, blocks)
+        with pytest.raises(FormatError, match="no block 'norm/offset'"):
+            load_mlp(path)
 
     def test_wrong_container_kind(self, tmp_path):
         from burnmap.modelio import save_blocks, text_block

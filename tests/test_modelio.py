@@ -183,7 +183,7 @@ class TestModelFile:
 
 
 def _mlp_container() -> bytes:
-    """A three-block container as save_mlp writes it for an unfitted model."""
+    """A three-block container: MLP meta and the weight and bias of a (3, 1) model."""
     from burnmap.mlp import build_mlp
 
     model = build_mlp(3, widths=(3, 1), seed=0)

@@ -63,6 +63,21 @@ class TestRasterPatch:
         p = RasterPatch((BandId.B04,), np.zeros((1, 2, 2), dtype=np.float64))
         assert p.data.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float16])
+    def test_bool_and_integer_data_are_reflectance(self, dtype):
+        p = RasterPatch((BandId.B04,), np.ones((1, 2, 2), dtype=dtype))
+        np.testing.assert_array_equal(p.data, np.ones((1, 2, 2), np.float32))
+
+    @pytest.mark.parametrize("data, name", [
+        (np.full((1, 2, 2), "0.5"), "<U3"),
+        (np.full((1, 2, 2), b"1"), "|S1"),
+        (np.zeros((1, 2, 2), np.complex128), "complex128"),
+        (np.zeros((1, 2, 2), object), "object"),
+    ])
+    def test_data_that_is_not_real_rejected(self, data, name):
+        with pytest.raises(DataError, match=f"dtype {re.escape(name)} is not real reflectance"):
+            RasterPatch((BandId.B04,), data)
+
 
 class TestGroundTruthMask:
     def test_non_binary_rejected(self):

@@ -2,6 +2,8 @@
 
 import hashlib
 import shutil
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -97,14 +99,14 @@ class TestSynth:
 
 
 class TestIngest:
-    def _scene_file(self, path: Path, seed: int, height=48, width=72) -> Path:
+    def _scene_file(self, path: Path, seed: int, height=48, width=72, dtype=np.float32) -> Path:
         cfg = SyntheticConfig(patch_size=24, noise=0.0)
         pre, post, truth, water = generate_scene(cfg, seed, height, width)
         np.savez(
             path,
             bands=np.array([b.value for b in pre.bands]),
-            pre=pre.data,
-            post=post.data,
+            pre=pre.data.astype(dtype),
+            post=post.data.astype(dtype),
             truth=truth.labels,
             water=water,
         )
@@ -126,6 +128,37 @@ class TestIngest:
         np.savez(bad, pre=np.zeros((1, 8, 8), np.float32))
         with pytest.raises(DataError, match="missing array"):
             cmd_ingest({"scene_train": str(bad)}, tmp_path / "out", seed=0)
+
+    def test_float64_scene_holds_each_date_once(self, tmp_path):
+        """Each float64 date is let go once its float32 patch exists, so the
+        peak for a float64 archive stays under 2.2x that for the same scene
+        stored float32; holding both float64 dates beside both float32
+        copies reads 2.7x."""
+        scenes = {
+            dtype: self._scene_file(tmp_path / f"{dtype}.npz", 3, 256, 256, dtype)
+            for dtype in ("float32", "float64")
+        }
+        cmd_ingest({"scene_train": str(scenes["float32"])}, tmp_path / "warm", seed=0)
+        peaks = {}
+        for dtype, scene in scenes.items():
+            tracemalloc.start()
+            try:
+                cmd_ingest({"scene_train": str(scene)}, tmp_path / dtype, seed=0)
+                peaks[dtype] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["float64"] < 2.2 * peaks["float32"], peaks
+
+    def test_damaged_scene_member_names_the_file(self, tmp_path):
+        scene = self._scene_file(tmp_path / "scene.npz", seed=3)
+        damaged = tmp_path / "damaged.npz"
+        with zipfile.ZipFile(scene) as src, zipfile.ZipFile(damaged, "w") as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                dst.writestr(name, data[:-100] if name == "post.npy" else data)
+        with pytest.raises(DataError, match=f"cannot read scene file {damaged}"):
+            cmd_ingest({"scene_train": str(damaged)}, tmp_path / "out", seed=0)
+        assert not (tmp_path / "out").exists()
 
     def test_no_scene_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one"):

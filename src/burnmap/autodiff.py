@@ -8,6 +8,12 @@ as plain-array helpers (``sigmoid_forward``/``sigmoid_backward``,
 ``bce_forward``/``bce_backward``), which the ops call and the graph-free
 pixel MLP shares.
 
+Every operand of an op is a ``Tensor``; no op converts an array or a Python
+number, so a constant enters as a ``Tensor`` of the dtype it should have and
+no hidden float64 scalar can promote an op's result. The loss labels (plain
+arrays or tensors, cast to the predictions' dtype) and the batch-norm
+running arrays are the only plain-array arguments.
+
 Op outputs record their parents and a backward closure; leaves have none.
 ``backward()`` propagates flow in reverse creation order into the ``grad`` of
 every leaf with ``requires_grad``. A graph is walked once: walked nodes drop
@@ -80,24 +86,13 @@ class Tensor:
         self._backward = None
         self._seq = next(_SEQ)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
     def backward(self, grad: np.ndarray | None = None):
         """Add d(self)/d(leaf) into every requiring leaf's ``grad``, consuming
         the graph; reaching a walked node raises before any ``grad`` changes."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError(
-                    f"backward() without a seed needs a scalar, got shape {self.shape}"
+                    f"backward() without a seed needs a scalar, got shape {self.data.shape}"
                 )
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
@@ -138,10 +133,6 @@ def _walked(flow):  # the backward closure of a walked op output
     raise RuntimeError("backward() reached a node of a graph that was already walked")
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     # The closure is kept only when some parent requires a gradient, so the
     # closure of a one-parent op never needs to check its parent.
@@ -168,8 +159,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------- arithmetic
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(flow):
@@ -183,8 +173,7 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(flow):
@@ -200,7 +189,6 @@ def mul(a, b) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient routes to the first argument."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"maximum: shapes {a.data.shape} vs {b.data.shape}")
     take_a = a.data >= b.data
@@ -218,7 +206,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
@@ -236,7 +223,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
     """Add a per-channel bias: (N,C,H,W)+(C,) on axis 1, or (N,D)+(D,)."""
-    x, b = _as_tensor(x), _as_tensor(b)
     if b.data.ndim != 1:
         raise ShapeError(f"bias_add: bias must be 1-D, got {b.data.shape}")
     if x.data.ndim == 4:
@@ -265,7 +251,6 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 
 def channel_scale(x: Tensor, s: Tensor) -> Tensor:
     """Scale (N,C,H,W) by per-sample channel weights (N,C)."""
-    x, s = _as_tensor(x), _as_tensor(s)
     if x.data.ndim != 4 or s.data.ndim != 2 or x.data.shape[:2] != s.data.shape:
         raise ShapeError(f"channel_scale: {x.data.shape} vs weights {s.data.shape}")
     w = s.data[:, :, None, None]
@@ -283,7 +268,6 @@ def channel_scale(x: Tensor, s: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
     data = x.data.reshape(shape)
 
     def backward(flow):
@@ -293,7 +277,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of an empty list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -312,7 +295,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), where a NaN rectifies to 0; backward masks by the output's sign."""
-    x = _as_tensor(x)
     data = np.fmax(x.data, 0)
 
     def backward(flow):
@@ -337,7 +319,6 @@ def sigmoid_backward(flow: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     data = sigmoid_forward(x.data)
 
     def backward(flow):
@@ -464,7 +445,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     one only because ``x.data`` is never mutated between forward and
     backward (the module convention).
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.data.shape}, kernel {w.data.shape}")
     n, c, h, width = x.data.shape
@@ -560,7 +540,6 @@ def batchnorm(
     from the output's sign, hands the masked flow to the shortcut as is, and
     gets the normalized input's sums from ``x`` and the statistics.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm: expected NCHW input, got {x.data.shape}")
     n, c, h, w = x.data.shape
@@ -570,7 +549,6 @@ def batchnorm(
         )
     parents = (x, gamma, beta)
     if shortcut is not None:
-        shortcut = _as_tensor(shortcut)
         if shortcut.data.shape != x.data.shape:
             raise ShapeError(f"batchnorm: shortcut {shortcut.data.shape} vs input {x.data.shape}")
         parents += (shortcut,)
@@ -637,7 +615,6 @@ def batchnorm(
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the spatial extent: (N,C,H,W) -> (N,C,1,1)."""
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool: expected NCHW, got {x.data.shape}")
     n, c, h, w = x.data.shape
@@ -651,31 +628,23 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------- upsampling
 
-_UPSAMPLE_CACHE: dict[tuple[int, str], np.ndarray] = {}
-
-
 def _upsample_matrix(n: int, dtype) -> np.ndarray:
-    """(2n, n) bilinear interpolation weights, half-pixel-centres convention."""
-    key = (n, np.dtype(dtype).str)
-    cached = _UPSAMPLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    u = np.zeros((2 * n, n), dtype=dtype)
-    for i in range(2 * n):
-        src = (i + 0.5) / 2.0 - 0.5
-        lo = int(np.floor(src))
-        t = src - lo
-        lo0 = min(max(lo, 0), n - 1)
-        lo1 = min(max(lo + 1, 0), n - 1)
-        u[i, lo0] += 1.0 - t
-        u[i, lo1] += t
-    _UPSAMPLE_CACHE[key] = u
+    """(2n, n) bilinear x2 interpolation weights, half-pixel-centres
+    convention: output 2k takes 0.75 of input k and 0.25 of input k-1,
+    output 2k+1 takes 0.75 of input k and 0.25 of input k+1. The two edge
+    rows, whose outer neighbour clamps onto input k itself, weigh it 1."""
+    k = np.arange(n)
+    u = np.zeros((2 * n, n), dtype)
+    u[2 * k, k] = 0.75
+    u[2 * k + 1, k] = 0.75
+    u[2 * k[1:], k[:-1]] = 0.25
+    u[2 * k[:-1] + 1, k[1:]] = 0.25
+    u[0, 0] = u[-1, -1] = 1.0
     return u
 
 
 def upsample2x(x: Tensor) -> Tensor:
     """Bilinear x2 upsampling of NCHW maps."""
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"upsample2x: expected NCHW, got {x.data.shape}")
     h, w = x.data.shape[2], x.data.shape[3]
@@ -721,7 +690,6 @@ def bce_backward(flow, t: np.ndarray, p: np.ndarray, inside: np.ndarray) -> np.n
 
 def loss_bce(yhat: Tensor, y) -> Tensor:
     """Mean binary cross-entropy; predictions clamped away from {0,1}."""
-    yhat = _as_tensor(yhat)
     t = _label_array(y, yhat.data)
     data, p, inside = bce_forward(yhat.data, t)
 
@@ -737,7 +705,6 @@ def loss_focal(yhat: Tensor, y, alpha: float = 0.25, gamma: float = 2.0) -> Tens
         raise ShapeError(f"focal loss: alpha must be in [0,1], got {alpha}")
     if gamma <= 0:
         raise ShapeError(f"focal loss: gamma must be positive, got {gamma}")
-    yhat = _as_tensor(yhat)
     t = _label_array(y, yhat.data)
     p = np.clip(yhat.data, LOG_EPS, 1.0 - LOG_EPS)
     inside = (yhat.data > LOG_EPS) & (yhat.data < 1.0 - LOG_EPS)
@@ -759,7 +726,6 @@ def loss_focal(yhat: Tensor, y, alpha: float = 0.25, gamma: float = 2.0) -> Tens
 def loss_dice(yhat: Tensor, y) -> Tensor:
     """Soft Dice loss with +1 smoothing, pooled over the whole tensor:
     1 - (2*sum(y*p) + 1)/(sum(y) + sum(p) + 1)."""
-    yhat = _as_tensor(yhat)
     t = _label_array(y, yhat.data)
     p = yhat.data
     inter = np.sum(t * p, dtype=np.float64)

@@ -40,6 +40,7 @@ SHARING_MODES = ("siamese", "pseudo_siamese")
 COMBINE_MODES = ("max", "add")
 SKIP_MODES = ("concat", "diff")
 PROBABILITY_THRESHOLD = 0.5
+_MINUS_ONE = Tensor(np.float32(-1.0))  # the diff skip's sign, float32 like the network
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,9 @@ class BamCdConfig:
 
 
 def mini_config(**overrides) -> BamCdConfig:
-    """Desk-scale profile: four thin stages, one block each."""
-    base = BamCdConfig(
-        widths=(16, 32, 64, 128),
-        blocks=(1, 1, 1, 1),
-        reduction=2,
-        epochs=30,
-        batch_size=8,
-    )
-    return replace(base, **overrides) if overrides else base
+    """Desk-scale profile: ``BamCdConfig``'s four thin stages, one block
+    each, trained for 30 epochs."""
+    return replace(BamCdConfig(epochs=30), **overrides)
 
 
 def paperlike_config(**overrides) -> BamCdConfig:
@@ -106,11 +101,9 @@ def paperlike_config(**overrides) -> BamCdConfig:
         widths=(256, 512, 1024, 2048),
         blocks=(3, 4, 23, 3),
         stem_width=64,
-        reduction=2,
-        epochs=250,
         batch_size=16,
     )
-    return replace(base, **overrides) if overrides else base
+    return replace(base, **overrides)
 
 
 class ResBlock(nn.Module):
@@ -251,7 +244,7 @@ class BamCdModel(nn.Module):
             skips = list(zip(pre_feats, post_feats))
             d = ad.concat([pre_feats[-1], post_feats[-1]], axis=1)
         else:
-            skips = [(ad.add(a, ad.mul(b, -1.0)),) for a, b in zip(pre_feats, post_feats)]
+            skips = [(ad.add(a, ad.mul(b, _MINUS_ONE)),) for a, b in zip(pre_feats, post_feats)]
             d = skips[-1][0]
         for lvl, level in zip(range(len(skips) - 2, -1, -1), self.decoder):
             d = ad.concat([ad.upsample2x(d), *skips[lvl]], axis=1)

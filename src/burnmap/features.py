@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FitError, read_text
 from .rasters import ALL_BANDS, BandId, BitemporalSample, balance_negatives
 from .seeding import rng_for
-from .spectral import UNITEMPORAL, IndexKind, IndexPlanes
+from .spectral import BITEMPORAL, UNITEMPORAL, IndexKind, IndexPlanes
 
 log = logging.getLogger(__name__)
 
@@ -93,41 +93,40 @@ class FeatureSchema:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("variant="):
             raise DataError("schema text must start with 'variant='")
-        variant = lines[0].partition("=")[2]
-        entries = tuple(FeatureKey.parse(ln) for ln in lines[1:])
-        return cls(variant, entries)
+        try:
+            entries = tuple(FeatureKey.parse(ln) for ln in lines[1:])
+            return cls(lines[0].partition("=")[2], entries)
+        except ConfigError as exc:  # a damaged record is bad data, not bad config
+            raise DataError(str(exc)) from None
 
     def save(self, path: str | Path):
         Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSchema":
-        return cls.from_text(read_text(path))
+        """The schema saved at ``path``; text that does not parse is a
+        DataError whose message starts with the path."""
+        text = read_text(path)
+        try:
+            return cls.from_text(text)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def all_schema(bands: tuple[BandId, ...] = ALL_BANDS) -> FeatureSchema:
-    """Bands per epoch, unitemporal indices per epoch, then all delta indices."""
+    """Bands per epoch, unitemporal indices per epoch, then the dSI deltas."""
     entries: list[FeatureKey] = []
     entries += [FeatureKey("pre", band=b) for b in bands]
     entries += [FeatureKey("post", band=b) for b in bands]
     entries += [FeatureKey("pre", index=k) for k in UNITEMPORAL]
     entries += [FeatureKey("post", index=k) for k in UNITEMPORAL]
-    entries += [FeatureKey("delta", index=k) for k in UNITEMPORAL]
-    entries += [
-        FeatureKey("delta", index=IndexKind.RDNBR),
-        FeatureKey("delta", index=IndexKind.RBR),
-    ]
-    return FeatureSchema("All", tuple(entries))
+    return FeatureSchema("All", (*entries, *dsi_schema().entries))
 
 
 def dsi_schema() -> FeatureSchema:
-    """Delta indices only."""
-    entries = [FeatureKey("delta", index=k) for k in UNITEMPORAL]
-    entries += [
-        FeatureKey("delta", index=IndexKind.RDNBR),
-        FeatureKey("delta", index=IndexKind.RBR),
-    ]
-    return FeatureSchema("dSI", tuple(entries))
+    """Delta indices only: every unitemporal index, then RdNBR and RBR."""
+    kinds = (*UNITEMPORAL, *BITEMPORAL)
+    return FeatureSchema("dSI", tuple(FeatureKey("delta", index=k) for k in kinds))
 
 
 def derive_mi_schema(schema: FeatureSchema, importances: np.ndarray) -> FeatureSchema:

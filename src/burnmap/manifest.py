@@ -147,8 +147,11 @@ def read_manifest(path: str | Path) -> DatasetManifest:
 
 
 def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> BitemporalSample:
-    """The entry's sample; a damaged or invalid patch file raises its
-    DataError or FormatError with a message that starts with the file's path."""
+    """The entry's sample; a damaged or invalid patch file, or one whose
+    event id, split or burnt-pixel count is not the row's, raises its
+    DataError or FormatError with a message that starts with the file's path.
+    ``read_manifest`` strips the row's fields, so the event ids are compared
+    stripped."""
     try:
         sample = load_sample(manifest.root / entry.path)
     except DataError as exc:
@@ -157,6 +160,13 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> BitemporalSam
     if sample.height != manifest.patch_size:
         raise DataError(
             f"{entry.path}: patch size {sample.height} != manifest {manifest.patch_size}"
+        )
+    row = (entry.event_id, entry.split, entry.positive_pixels)
+    record = (sample.event_id.strip(), sample.split, sample.truth.positive_pixels())
+    if record != row:
+        raise DataError(
+            f"{entry.path}: record is event {record[0]!r}, split {record[1]!r} with "
+            f"{record[2]} burnt pixels, but the manifest row says {row[0]!r}, {row[1]!r}, {row[2]}"
         )
     return sample
 

@@ -275,17 +275,28 @@ def _resolve_schema(variant: str, mi_source: str | None, bands) -> FeatureSchema
         raise ConfigError(
             f"mi_source run used schema {base.variant!r}; MI derives from All"
         )
+    # Line i of importances.txt weighs schema entry i, and says which by its label.
+    labels = base.labels()
     path = source / "importances.txt"
     weights = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if line.strip():
             try:
-                _, value = line.rsplit(",", 1)
+                label, value = line.rsplit(",", 1)
                 weights.append(float(value))
             except ValueError:  # no comma, or a weight that is not a number
                 raise DataError(f"{path}:{lineno}: expected label,weight, got {line!r}") from None
             if not np.isfinite(weights[-1]):
                 raise DataError(f"{path}:{lineno}: weight is not finite: {line!r}")
+            n = len(weights)
+            expected = labels[n - 1] if n <= len(labels) else None
+            if label.strip() != expected:
+                raise DataError(
+                    f"{path}:{lineno}: the label of {line!r} is not schema.txt entry {n}, "
+                    f"{expected!r}"
+                )
+    if len(weights) != len(labels):
+        raise DataError(f"{path}: {len(weights)} weights for the {len(labels)} schema.txt entries")
     return derive_mi_schema(base, np.array(weights))
 
 

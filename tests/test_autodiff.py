@@ -826,6 +826,26 @@ class TestForwardValues:
         )
         np.testing.assert_allclose(out.data[0, 0, 1], out.data[0, 0, 0], rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upsample_matrix_matches_the_interpolation_loop(self, dtype):
+        """The closed form gives the bits of the per-row half-pixel-centres
+        loop it is read off: output i samples input (i + 0.5) / 2 - 0.5,
+        between its clamped floor and ceiling."""
+
+        def loop(n):
+            u = np.zeros((2 * n, n), dtype=dtype)
+            for i in range(2 * n):
+                src = (i + 0.5) / 2.0 - 0.5
+                lo = int(np.floor(src))
+                t = src - lo
+                u[i, min(max(lo, 0), n - 1)] += 1.0 - t
+                u[i, min(max(lo + 1, 0), n - 1)] += t
+            return u
+
+        for n in range(1, 71):
+            got = ad._upsample_matrix(n, dtype)
+            assert got.dtype == dtype and got.tobytes() == loop(n).tobytes(), n
+
     def test_batchnorm_training_normalizes(self):
         rng = np.random.default_rng(71)
         x = rng.standard_normal((4, 3, 8, 8)) * 3.0 + 5.0

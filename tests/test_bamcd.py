@@ -382,6 +382,24 @@ class TestSkipModes:
         assert len(trace) == 2
         assert all(np.isfinite(t.train_loss) for t in trace)
 
+    def test_diff_runs_in_float32(self, monkeypatch):
+        """The diff skip's sign is a float32 tensor, so no skip, and no
+        decoder or head convolution after it, is promoted to float64."""
+        conv2d, dtypes = ad.conv2d, []
+
+        def recording_conv2d(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            dtypes.append(out.data.dtype)
+            return out
+
+        monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+        model = build(mini_config(skip_mode="diff"))
+        x_pre, x_post, _ = stack(make_samples(2, 23))
+        out = model.forward_batch(Tensor(x_pre), Tensor(x_post))
+        assert len(dtypes) == 34
+        assert set(dtypes) == {np.dtype(np.float32)}
+        assert out.data.dtype == np.float32
+
     def test_bad_skip_mode_rejected(self):
         with pytest.raises(ConfigError, match="skip_mode"):
             replace(TINY, skip_mode="subtract")

@@ -557,6 +557,23 @@ class TestInputBoundaries:
         assert f"patches/{patch.name}: water mask labels must be 0/1, found [7]" in err
         assert not (tmp_path / "run").exists()
 
+    def test_manifest_row_pointing_at_another_record_names_the_file(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        """A test row must not score a train record as test data."""
+        data = shutil.copytree(dataset_dir, tmp_path / "data")
+        manifest = data / "manifest.csv"
+        lines = [
+            "ev-test-000,test,patches/ev-train-000.npb,-5" if ln.startswith("ev-test-000,") else ln
+            for ln in manifest.read_text().splitlines()
+        ]
+        manifest.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "i.cfg", {"manifest": str(manifest), "index": "NBR"})
+        rc = main(["index-eval", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "patches/ev-train-000.npb: record is event 'ev-train-000'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("empty", ["n_train", "n_test"])
     def test_index_eval_rejects_an_empty_split(self, tmp_path, capsys, empty):
         data = tmp_path / "data"

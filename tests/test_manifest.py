@@ -1,6 +1,7 @@
 """Manifest inventory: round trips, byte stability, malformed rows."""
 
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,34 @@ class TestValidation:
         m.patch_size = 99
         with pytest.raises(DataError, match="99"):
             load_split(m, "train")
+
+    @pytest.mark.parametrize(
+        "field, value, found",
+        [
+            ("path", "patches/ev-train-000.npb", "event 'ev-train-000', split 'train'"),
+            ("split", "val", "split 'test'"),
+            ("positive_pixels", -5, "but the manifest row says 'ev-test-000', 'test', -5"),
+        ],
+        ids=["other-record", "other-split", "other-count"],
+    )
+    def test_row_must_describe_its_record(self, tmp_path, dataset, field, value, found):
+        """A row that points at another split's record would score it as data
+        of the row's split."""
+        save_dataset(dataset, tmp_path)
+        m = read_manifest(tmp_path / MANIFEST_NAME)
+        entry = m.by_split("test")[0]
+        setattr(entry, field, value)
+        with pytest.raises(DataError, match=f"{entry.path}: record is .*{found}"):
+            load_split(m, entry.split)
+
+    def test_record_event_id_is_compared_stripped(self, tmp_path, dataset):
+        """read_manifest strips every field, so a record whose event id has
+        leading spaces (from an archive stem, say) still matches its row."""
+        dataset[0] = replace(dataset[0], event_id="  " + dataset[0].event_id)
+        save_dataset(dataset, tmp_path)
+        m = read_manifest(tmp_path / MANIFEST_NAME)
+        assert m.entries[0].event_id == dataset[0].event_id.strip()
+        assert load_split(m, "train")[0].event_id == dataset[0].event_id
 
     def test_write_rejects_comma_fields(self, tmp_path, dataset):
         m = save_dataset(dataset, tmp_path)

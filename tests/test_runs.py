@@ -11,7 +11,7 @@ import pytest
 
 from burnmap.bamcd import load_bamcd
 from burnmap.errors import ConfigError, DataError
-from burnmap.features import FeatureSchema
+from burnmap.features import FeatureSchema, dsi_schema
 from burnmap.forest import load_forest
 from burnmap.manifest import read_manifest, save_dataset
 from burnmap.mlp import load_mlp
@@ -287,7 +287,11 @@ class TestMlRun:
             cmd_ml_run(cfg, tmp_path / "out", seed=8)
 
     @pytest.mark.parametrize(
-        "damaged", ["pre:B02,abc", "pre:B02 0.5", "pre:B02,", "pre:B02,nan", "pre:B02,inf"]
+        "damaged",
+        [
+            "pre:B02,abc", "pre:B02 0.5", "pre:B02,", "pre:B02,nan", "pre:B02,inf",
+            "pre:NOPE,0.5", "pre:B02,0.5",
+        ],
     )
     def test_unparsable_importance_is_data_error(
         self, rf_all_run, dataset_dir, tmp_path, damaged
@@ -305,6 +309,66 @@ class TestMlRun:
         with pytest.raises(DataError, match=f"importances.txt:2: .*{damaged!r}"):
             cmd_ml_run(cfg, tmp_path / "out", seed=8)
         assert not (tmp_path / "out").exists()
+
+    def _mi_run(self, source: Path, dataset_dir, out: Path):
+        cfg = dict(
+            self.RF_CFG,
+            schema="MI",
+            mi_source=str(source),
+            manifest=str(dataset_dir / "manifest.csv"),
+        )
+        return cmd_ml_run(cfg, out, seed=8)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: [lines[1], lines[0], *lines[2:]],
+             "importances.txt:1: the label of 'pre:B03,.*' is not schema.txt entry 1, 'pre:B02'"),
+            (lambda lines: [*lines, "pre:B02,0.5"],
+             "importances.txt:62: the label of 'pre:B02,0.5' is not schema.txt entry 62, None"),
+            (lambda lines: lines[:-1], "importances.txt: 60 weights for the 61 schema.txt entries"),
+        ],
+        ids=["swapped", "extra", "missing"],
+    )
+    def test_importance_labels_must_match_the_schema(
+        self, rf_all_run, dataset_dir, tmp_path, edit, message
+    ):
+        """Weights pair with schema entries by position, so a line whose
+        label is not the entry at its position would weigh another feature."""
+        source = shutil.copytree(rf_all_run, tmp_path / "source")
+        lines = (source / "importances.txt").read_text().splitlines()
+        (source / "importances.txt").write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(DataError, match=message):
+            self._mi_run(source, dataset_dir, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "lineno, damaged, message",
+        [
+            (1, "pre:B99", "unknown spectral index 'B99'"),
+            (2, "pre:B02", "duplicate feature entries in schema"),
+            (0, "variant=Foo", "unknown schema variant 'Foo'"),
+        ],
+        ids=["unknown-index", "duplicate", "unknown-variant"],
+    )
+    def test_damaged_mi_source_schema_is_data_error(
+        self, rf_all_run, dataset_dir, tmp_path, lineno, damaged, message
+    ):
+        source = shutil.copytree(rf_all_run, tmp_path / "source")
+        lines = (source / "schema.txt").read_text().splitlines()
+        lines[lineno] = damaged
+        (source / "schema.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"schema.txt: {message}"):
+            self._mi_run(source, dataset_dir, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_mi_source_of_another_variant_is_config_error(self, rf_all_run, dataset_dir, tmp_path):
+        """A well-formed schema of another variant means mi_source names the
+        wrong run: a config error, not damaged data."""
+        source = shutil.copytree(rf_all_run, tmp_path / "source")
+        dsi_schema().save(source / "schema.txt")
+        with pytest.raises(ConfigError, match="MI derives from All"):
+            self._mi_run(source, dataset_dir, tmp_path / "out")
 
     def test_dsi_schema_has_only_deltas(self, dataset_dir, tmp_path):
         out = tmp_path / "rf_dsi"

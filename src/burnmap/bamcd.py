@@ -18,6 +18,7 @@ fixed seed and a fixed BLAS thread count give bit-identical traces.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,6 +42,7 @@ COMBINE_MODES = ("max", "add")
 SKIP_MODES = ("concat", "diff")
 PROBABILITY_THRESHOLD = 0.5
 _MINUS_ONE = Tensor(np.float32(-1.0))  # the diff skip's sign, float32 like the network
+Stacks = tuple[np.ndarray, np.ndarray, np.ndarray]  # NCHW pre, NCHW post, (N, 1, H, W) truth
 
 
 @dataclass(frozen=True)
@@ -268,22 +270,30 @@ def _check_patch(patch: RasterPatch, config: BamCdConfig, name: str):
         )
 
 
-def stack_samples(samples: list[BitemporalSample], config: BamCdConfig):
-    """NCHW pre and post reflectance and (N, 1, H, W) truth arrays of samples
-    that all carry the configured bands and one patch shape."""
-    x_pre = np.empty((len(samples), len(config.bands), *samples[0].pre.data.shape[1:]), np.float32)
-    x_post = np.empty_like(x_pre)
-    truth = np.empty((len(samples), 1, *x_pre.shape[2:]), np.float32)
-    for i, s in enumerate(samples):
+def stack_samples(samples: Iterable[BitemporalSample], count: int, config: BamCdConfig) -> Stacks:
+    """NCHW pre and post reflectance and (N, 1, H, W) truth arrays of the
+    ``count`` samples, which all carry the configured bands and one patch
+    shape. The arrays are allocated at the first sample and filled one
+    sample at a time, so an iterator that loads each sample as it is asked
+    for is never held whole."""
+    x_pre = None
+    n = 0
+    for n, s in enumerate(samples, 1):
         _check_patch(s.pre, config, f"sample {s.event_id} pre")
         _check_patch(s.post, config, f"sample {s.event_id} post")
-        if s.pre.data.shape != x_pre.shape[1:]:
+        if x_pre is None:
+            x_pre = np.empty((count, *s.pre.data.shape), np.float32)
+            x_post = np.empty_like(x_pre)
+            truth = np.empty((count, 1, *x_pre.shape[2:]), np.float32)
+        elif s.pre.data.shape != x_pre.shape[1:]:
             raise DataError(
                 f"sample {s.event_id}: patch shape {s.pre.data.shape} != {x_pre.shape[1:]}"
             )
-        x_pre[i] = s.pre.data
-        x_post[i] = s.post.data
-        truth[i, 0] = s.truth.labels
+        x_pre[n - 1] = s.pre.data
+        x_post[n - 1] = s.post.data
+        truth[n - 1, 0] = s.truth.labels
+    if x_pre is None or n != count:
+        raise DataError(f"{n} samples to stack, expected {count} and at least 1")
     return x_pre, x_post, truth
 
 
@@ -345,19 +355,18 @@ def validation_f1(model: BamCdModel, x_pre, x_post, truth) -> float:
 
 
 def train(
-    model: BamCdModel,
-    train_samples: list[BitemporalSample],
-    val_samples: list[BitemporalSample],
+    model: BamCdModel, train_stacks: Stacks, val_stacks: Stacks
 ) -> tuple[BamCdModel, list[EpochStats]]:
-    """Optimize on the train split with ``model.config``; return the
-    best-val-burnt-F1 checkpoint and the per-epoch trace."""
+    """Optimize on the train split's stacks (see ``stack_samples``) with
+    ``model.config``; return the best-val-burnt-F1 checkpoint and the
+    per-epoch trace."""
     config = model.config
-    if not train_samples:
+    x_pre, x_post, truth = train_stacks
+    v_pre, v_post, v_truth = val_stacks
+    if not len(x_pre):
         raise DataError("training requires a non-empty train split")
-    if not val_samples:
+    if not len(v_pre):
         raise DataError("training requires a non-empty val split")
-    x_pre, x_post, truth = stack_samples(train_samples, config)
-    v_pre, v_post, v_truth = stack_samples(val_samples, config)
     loss_fn = _loss_fn(config)
 
     def batch(rows):

@@ -168,66 +168,79 @@ def _positions(sample: int, rows: np.ndarray, cols: np.ndarray, label: int) -> n
     return out
 
 
+def pixel_plan(patches: list, n_pixels: int, seed: int) -> list[tuple[object, int, int]]:
+    """(patch, burnt quota, unburnt quota) of every pooled patch, in pool
+    order: the positives, then the seeded negative draw. ``patches`` may be
+    samples or manifest entries; only their ``is_positive()`` is read, so a
+    split's plan needs none of its reflectance."""
+    if n_pixels <= 0 or n_pixels % 2:
+        raise ConfigError(f"pixel budget must be positive and even, got {n_pixels}")
+    n_positive = sum(p.is_positive() for p in patches)
+    if not n_positive:
+        raise FitError("sampling needs at least one patch with burnt pixels")
+    pool = balance_negatives(patches, seed)
+    half = n_pixels // 2
+    burnt_quota = _allocate(half, n_positive) + [0] * (len(pool) - n_positive)
+    return list(zip(pool, burnt_quota, _allocate(half, len(pool))))
+
+
+def draw_pixels(
+    sample: BitemporalSample, burnt_quota: int, unburnt_quota: int, seed: int, index: int = 0
+) -> np.ndarray:
+    """One pooled patch's positions (``POSITION``, ``sample`` = ``index``):
+    its burnt draw, then its water and land unburnt draws, from the patch's
+    own ``pixels/<event id>`` stream, so they do not depend on which patches
+    were drawn before it."""
+    rng = rng_for(seed, f"pixels/{sample.event_id}")
+    burnt_mask = sample.truth.labels.astype(bool)
+    water_mask = (
+        sample.water.astype(bool) if sample.water is not None
+        else np.zeros_like(burnt_mask)
+    )
+    chunks: list[np.ndarray] = []
+    if sample.is_positive():
+        rows, cols = np.nonzero(burnt_mask)
+        got_rows, got_cols = _draw(rng, rows, cols, burnt_quota)
+        if got_rows.size < burnt_quota:
+            log.warning(
+                "patch %s: burnt stratum %d short of quota %d",
+                sample.event_id, rows.size, burnt_quota,
+            )
+        chunks.append(_positions(index, got_rows, got_cols, 1))
+
+    unburnt_mask = ~burnt_mask
+    w_rows, w_cols = np.nonzero(unburnt_mask & water_mask)
+    l_rows, l_cols = np.nonzero(unburnt_mask & ~water_mask)
+    stock = w_rows.size + l_rows.size
+    take_u = min(unburnt_quota, stock)
+    if take_u < unburnt_quota:
+        log.warning(
+            "patch %s: unburnt stratum %d short of quota %d",
+            sample.event_id, stock, unburnt_quota,
+        )
+    quota_w = math.ceil(WATER_QUOTA * take_u) if w_rows.size else 0
+    take_w = min(quota_w, w_rows.size)
+    take_l = min(take_u - take_w, l_rows.size)
+    take_w += min(take_u - take_w - take_l, w_rows.size - take_w)
+
+    got_w = _draw(rng, w_rows, w_cols, take_w)
+    got_l = _draw(rng, l_rows, l_cols, take_l)
+    return np.concatenate(
+        [*chunks, _positions(index, *got_w, 0), _positions(index, *got_l, 0)]
+    )
+
+
 def sample_pixels(
     samples: list[BitemporalSample], n_pixels: int, seed: int
 ) -> np.ndarray:
     """Balanced pixel positions (a ``POSITION`` array): N/2 burnt + N/2
-    unburnt with the water quota, in draw order."""
-    if n_pixels <= 0 or n_pixels % 2:
-        raise ConfigError(f"pixel budget must be positive and even, got {n_pixels}")
-    positives = [s for s in samples if s.is_positive()]
-    if not positives:
-        raise FitError("sampling needs at least one patch with burnt pixels")
-    pool = balance_negatives(samples, seed)
+    unburnt with the water quota, in draw order (``pixel_plan`` and
+    ``draw_pixels`` over every pooled sample)."""
     index_of = {id(s): i for i, s in enumerate(samples)}
-
-    half = n_pixels // 2
-    burnt_quota = _allocate(half, len(positives))
-    unburnt_quota = _allocate(half, len(pool))
-
-    chunks: list[np.ndarray] = []
-    pos_index = 0
-    for patch_i, s in enumerate(pool):
-        rng = rng_for(seed, f"pixels/{s.event_id}")
-        sample_i = index_of[id(s)]
-        burnt_mask = s.truth.labels.astype(bool)
-        water_mask = (
-            s.water.astype(bool) if s.water is not None
-            else np.zeros_like(burnt_mask)
-        )
-
-        if s.is_positive():
-            want = burnt_quota[pos_index]
-            pos_index += 1
-            rows, cols = np.nonzero(burnt_mask)
-            got_rows, got_cols = _draw(rng, rows, cols, want)
-            if got_rows.size < want:
-                log.warning(
-                    "patch %s: burnt stratum %d short of quota %d",
-                    s.event_id, rows.size, want,
-                )
-            chunks.append(_positions(sample_i, got_rows, got_cols, 1))
-
-        want_u = unburnt_quota[patch_i]
-        unburnt_mask = ~burnt_mask
-        w_rows, w_cols = np.nonzero(unburnt_mask & water_mask)
-        l_rows, l_cols = np.nonzero(unburnt_mask & ~water_mask)
-        stock = w_rows.size + l_rows.size
-        take_u = min(want_u, stock)
-        if take_u < want_u:
-            log.warning(
-                "patch %s: unburnt stratum %d short of quota %d",
-                s.event_id, stock, want_u,
-            )
-        quota_w = math.ceil(WATER_QUOTA * take_u) if w_rows.size else 0
-        take_w = min(quota_w, w_rows.size)
-        take_l = min(take_u - take_w, l_rows.size)
-        take_w += min(take_u - take_w - take_l, w_rows.size - take_w)
-
-        got_w = _draw(rng, w_rows, w_cols, take_w)
-        got_l = _draw(rng, l_rows, l_cols, take_l)
-        chunks += [_positions(sample_i, *got_w, 0), _positions(sample_i, *got_l, 0)]
-    return np.concatenate(chunks)
+    return np.concatenate([
+        draw_pixels(s, burnt, unburnt, seed, index_of[id(s)])
+        for s, burnt, unburnt in pixel_plan(samples, n_pixels, seed)
+    ])
 
 
 @dataclass

@@ -13,6 +13,8 @@ can be moved wholesale.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +32,10 @@ class ManifestEntry:
     split: str
     path: str
     positive_pixels: int
+
+    def is_positive(self) -> bool:
+        """The row's record has burnt pixels (``load_entry`` checks the count)."""
+        return self.positive_pixels > 0
 
 
 @dataclass
@@ -51,28 +57,31 @@ def _entry_filename(event_id: str) -> str:
 
 
 def save_dataset(
-    samples: list[BitemporalSample],
+    samples: Iterable[BitemporalSample],
     out_dir: str | Path,
     clip_max: float = 1.0,
 ) -> DatasetManifest:
-    """Write every sample as a patch record file plus the manifest that indexes them."""
-    if not samples:
+    """Write each sample as a patch record file as it arrives, then the
+    manifest that indexes them, so a generator of samples is held one patch
+    at a time. An empty input is refused before ``out_dir`` is created. A
+    sample whose size differs from the first's, or whose event id repeats,
+    raises DataError once the earlier patches are written; the manifest,
+    written last, is then missing."""
+    samples = iter(samples)
+    first = next(samples, None)
+    if first is None:
         raise DataError("refusing to write an empty dataset")
-    sizes = {s.height for s in samples} | {s.width for s in samples}
-    if len(sizes) != 1:
-        raise DataError(f"mixed patch sizes {sorted(sizes)} in one dataset")
+    out_dir = Path(out_dir)
+    (out_dir / "patches").mkdir(parents=True, exist_ok=True)
+    size = first.height
+    manifest = DatasetManifest(patch_size=size, clip_max=clip_max, root=out_dir)
     seen: set[str] = set()
-    for s in samples:
+    for s in itertools.chain([first], samples):
+        if s.height != size or s.width != size:
+            raise DataError(f"mixed patch sizes {sorted({size, s.height, s.width})} in one dataset")
         if s.event_id in seen:
             raise DataError(f"duplicate event id {s.event_id!r}")
         seen.add(s.event_id)
-
-    out_dir = Path(out_dir)
-    (out_dir / "patches").mkdir(parents=True, exist_ok=True)
-    manifest = DatasetManifest(
-        patch_size=sizes.pop(), clip_max=clip_max, root=out_dir
-    )
-    for s in samples:
         rel = _entry_filename(s.event_id)
         save_sample(s, out_dir / rel)
         manifest.entries.append(
@@ -171,5 +180,11 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry) -> BitemporalSam
     return sample
 
 
+def iter_split(manifest: DatasetManifest, split: str) -> Iterator[BitemporalSample]:
+    """The split's samples in manifest order, each loaded (``load_entry``)
+    only when the caller asks for it."""
+    return (load_entry(manifest, e) for e in manifest.by_split(split))
+
+
 def load_split(manifest: DatasetManifest, split: str) -> list[BitemporalSample]:
-    return [load_entry(manifest, e) for e in manifest.by_split(split)]
+    return list(iter_split(manifest, split))

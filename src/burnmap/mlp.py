@@ -90,6 +90,12 @@ def _build_layers(widths: tuple[int, ...], seed: int, dtype=np.float32) -> nn.Mo
     )
 
 
+def parameter_count(widths: tuple[int, ...]) -> int:
+    """Weights and biases of a layer stack of ``widths``, in closed form,
+    so a size can be refused before any array exists."""
+    return sum(n_in * n_out + n_out for n_in, n_out in zip(widths, widths[1:]))
+
+
 def build_mlp(n_features: int, widths=None, seed: int = 0, dtype=np.float32) -> MlpModel:
     """An untrained model of ``widths`` (default [d, 128, 64, 1]) whose
     layers draw from ``seed``, with identity input scaling (offset 0, scale

@@ -20,6 +20,10 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .errors import ConfigError, DivergenceError
 
+# The most parameters a run may build, checked in closed form before any
+# array exists. The paperlike BAM-CD profile has 742.9 M.
+MAX_PARAMETERS = 1_000_000_000
+
 
 class Parameter(Tensor):
     """A trainable tensor; modules auto-register these on assignment."""

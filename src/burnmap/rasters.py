@@ -210,13 +210,12 @@ def ingest_scene(
     return samples
 
 
-def balance_negatives(
-    samples: list[BitemporalSample], seed: int
-) -> list[BitemporalSample]:
+def balance_negatives(samples: list, seed: int) -> list:
     """All positive patches plus an equal, seeded, uniform draw of negatives.
 
     Positives keep their order; the negative draw preserves pool order too so
-    the result is deterministic for a fixed seed.
+    the result is deterministic for a fixed seed. The patches may be samples
+    or manifest entries: only their ``is_positive()`` is read.
     """
     positives = [s for s in samples if s.is_positive()]
     negatives = [s for s in samples if not s.is_positive()]

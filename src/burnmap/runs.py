@@ -19,6 +19,7 @@ repeat runs measure seed variation and nothing else.
 
 from __future__ import annotations
 
+import itertools
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -32,13 +33,16 @@ from .features import (
     all_schema,
     assemble_features,
     derive_mi_schema,
+    draw_pixels,
     dsi_schema,
     feature_cube,
-    sample_pixels,
+    pixel_plan,
     zero_nonfinite,
 )
 from .forest import rf_fit, rf_predict, save_forest
-from .manifest import MANIFEST_NAME, load_split, read_manifest, save_dataset
+from .manifest import (
+    MANIFEST_NAME, DatasetManifest, iter_split, load_entry, read_manifest, save_dataset,
+)
 from .metrics import (
     ConfusionCounts,
     MetricReport,
@@ -48,7 +52,8 @@ from .metrics import (
     metric_names,
     report_table,
 )
-from .mlp import mlp_fit, mlp_predict, save_mlp
+from .mlp import mlp_fit, mlp_predict, parameter_count as mlp_parameter_count, save_mlp
+from .nn import MAX_PARAMETERS
 from .rasters import BandId, BitemporalSample, GroundTruthMask, RasterPatch, ingest_scene
 from .runconfig import (
     get_str, int_at_least, int_in, one_of, positive_float, positive_ints, read_fields, reader,
@@ -227,8 +232,8 @@ def cmd_index_eval(config: dict[str, str], out_dir: Path, seed: int) -> MetricRe
     fields = read_fields(config, INDEX_EVAL_FIELDS, "index-eval", ("manifest", "index"))
     kind = fields["index"]
     manifest = _checked_manifest(fields["manifest"], "index-eval", ("train", "test"))
-    model = fit_threshold(kind, load_split(manifest, "train"), fields.get("steps", GRID_STEPS))
-    _, report = evaluate_threshold(model, load_split(manifest, "test"))
+    model = fit_threshold(kind, iter_split(manifest, "train"), fields.get("steps", GRID_STEPS))
+    _, report = evaluate_threshold(model, iter_split(manifest, "test"))
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save(out_dir / "threshold.txt")
     method = f"d{kind.value}"
@@ -300,8 +305,31 @@ def _resolve_schema(variant: str, mi_source: str | None, bands) -> FeatureSchema
     return derive_mi_schema(base, np.array(weights))
 
 
+def _train_features(
+    manifest: DatasetManifest, variant: str, mi_source: str | None, n_pixels: int, seed: int
+) -> tuple[FeatureSchema, np.ndarray, np.ndarray, dict[str, int]]:
+    """The schema and the sampled training rows: features x, labels y and
+    the NaN features replaced per schema label. The pool and each patch's
+    quotas are planned from the manifest rows; then each pooled train patch
+    is loaded once, in manifest order, and reduced to its rows before the
+    next is read. The schema takes its bands from the first pooled patch."""
+    entries = manifest.by_split("train")
+    quotas = {id(e): q for e, *q in pixel_plan(entries, n_pixels, seed)}
+    schema, parts = None, []
+    for entry in entries:
+        if id(entry) in quotas:
+            sample = load_entry(manifest, entry)
+            if schema is None:
+                schema = _resolve_schema(variant, mi_source, sample.pre.bands)
+            positions = draw_pixels(sample, *quotas[id(entry)], seed)
+            parts.append(assemble_features(schema, [sample], positions))
+    nan_counts = {label: sum(p.nan_counts[label] for p in parts) for label in schema.labels()}
+    x = np.concatenate([p.x for p in parts])
+    return schema, x, np.concatenate([p.y for p in parts]), nan_counts
+
+
 def _evaluate_pixel_model(predict, schema, samples) -> MetricReport:
-    """Pooled full-raster evaluation of a pixel classifier over samples."""
+    """Pooled full-raster evaluation of a pixel classifier over samples, read once."""
     counts = ConfusionCounts()
     for s in samples:
         # One row per pixel in row-major order, C-contiguous like a gathered x.
@@ -316,7 +344,11 @@ def _evaluate_pixel_model(predict, schema, samples) -> MetricReport:
 def cmd_ml_run(
     config: dict[str, str], out_dir: Path, seed: int, repeats: int = 1
 ) -> list[MetricReport]:
-    """Pixel-classifier runs: sample -> assemble -> fit -> evaluate, repeated."""
+    """Pixel-classifier runs: sample -> assemble -> fit -> evaluate, repeated.
+
+    The train split is read once, patch by patch, and the test split is
+    streamed once per repeat. ``out_dir`` is created after the first
+    evaluation, so a damaged record of either split leaves no output."""
     method = ML_FIELDS["method"](config, "method")
     method_fields = FIT_FIELDS[method]
     readers = {**ML_FIELDS, **{key: read for key, (_, read) in method_fields.items()}}
@@ -328,17 +360,18 @@ def cmd_ml_run(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     fit_args = {arg: fields[key] for key, (arg, _) in method_fields.items() if key in fields}
     manifest = _checked_manifest(fields["manifest"], "ml-run", ("train", "test"))
-    train = load_split(manifest, "train")
-    test = load_split(manifest, "test")
-
-    schema = _resolve_schema(variant, fields.get("mi_source"), train[0].pre.bands)
-    positions = sample_pixels(train, fields.get("n_pixels", 4000), derive_seed(seed, "pixels"))
-    train_ds = assemble_features(schema, train, positions)
+    schema, x_train, y_train, nan_counts = _train_features(
+        manifest, variant, fields.get("mi_source"), fields.get("n_pixels", 4000),
+        derive_seed(seed, "pixels"),
+    )
     if "widths" in fit_args:
-        fit_args["widths"] = (train_ds.x.shape[1], *fit_args["widths"], 1)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    schema.save(out_dir / "schema.txt")
+        widths = fit_args["widths"] = (len(schema), *fit_args["widths"], 1)
+        count = mlp_parameter_count(widths)
+        if count > MAX_PARAMETERS:
+            raise ConfigError(
+                f"config key 'mlp_hidden': widths {widths} make {count} parameters, "
+                f"more than the limit of {MAX_PARAMETERS}"
+            )
 
     reports: list[MetricReport] = []
     seeds: list[int] = []
@@ -347,15 +380,17 @@ def cmd_ml_run(
         model_seed = derive_seed(seed, f"repeat/{r}")
         seeds.append(model_seed)
         if method == "rf":
-            model = rf_fit(train_ds.x, train_ds.y, seed=model_seed, **fit_args)
-            save_forest(out_dir / f"model_r{r}.npb", model)
+            model = rf_fit(x_train, y_train, seed=model_seed, **fit_args)
             importances.append(model.feature_importances)
-            predict = lambda x, m=model: rf_predict(m, x)
+            predict, save = (lambda x, m=model: rf_predict(m, x)), save_forest
         else:
-            model = mlp_fit(train_ds.x, train_ds.y, seed=model_seed, **fit_args)
-            save_mlp(out_dir / f"model_r{r}.npb", model)
-            predict = lambda x, m=model: mlp_predict(m, x)
-        reports.append(_evaluate_pixel_model(predict, schema, test))
+            model = mlp_fit(x_train, y_train, seed=model_seed, **fit_args)
+            predict, save = (lambda x, m=model: mlp_predict(m, x)), save_mlp
+        reports.append(_evaluate_pixel_model(predict, schema, iter_split(manifest, "test")))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save(out_dir / f"model_r{r}.npb", model)
+
+    schema.save(out_dir / "schema.txt")
 
     if importances:
         mean_imp = np.mean(np.stack(importances), axis=0)
@@ -364,7 +399,7 @@ def cmd_ml_run(
         ]
         _write(out_dir / "importances.txt", "\n".join(lines) + "\n")
 
-    nonzero_nan = {k: v for k, v in train_ds.nan_counts.items() if v}
+    nonzero_nan = {k: v for k, v in nan_counts.items() if v}
     if nonzero_nan:
         lines = [f"{k},{v}" for k, v in sorted(nonzero_nan.items())]
         _write(out_dir / "nan_counts.txt", "\n".join(lines) + "\n")
@@ -386,16 +421,34 @@ DL_FIELDS.update(
 )
 
 
-def evaluate_network(model: bamcd.BamCdModel, samples) -> MetricReport:
+def evaluate_network(model: bamcd.BamCdModel, samples: list[BitemporalSample]) -> MetricReport:
     """Pooled test-pixel metrics of thresholded probability maps."""
-    x_pre, x_post, truth = bamcd.stack_samples(samples, model.config)
-    return bamcd.stack_metrics(model, x_pre, x_post, truth)
+    return bamcd.stack_metrics(model, *bamcd.stack_samples(samples, len(samples), model.config))
+
+
+def _split_stacks(
+    manifest: DatasetManifest, base: bamcd.BamCdConfig
+) -> tuple[bamcd.BamCdConfig, dict[str, bamcd.Stacks]]:
+    """``base`` with the first train record's bands, and the stacks of
+    every split, each filled record by record as ``load_entry`` reads it."""
+    train = iter_split(manifest, "train")
+    first = next(train)
+    config = replace(base, bands=tuple(first.pre.bands))
+    samples = {"train": itertools.chain([first], train)}
+    samples.update((split, iter_split(manifest, split)) for split in ("val", "test"))
+    return config, {
+        split: bamcd.stack_samples(records, len(manifest.by_split(split)), config)
+        for split, records in samples.items()
+    }
 
 
 def cmd_dl_run(
     config: dict[str, str], out_dir: Path, seed: int, repeats: int = 1
 ) -> list[MetricReport]:
-    """Train the change-detection network; evaluate its best checkpoint."""
+    """Train the change-detection network; evaluate its best checkpoint.
+
+    The splits are read once, straight into their stacks, before
+    ``out_dir`` exists; every repeat trains and tests on those stacks."""
     fields = read_fields(config, DL_FIELDS, "dl-run", ("manifest",))
     profile = fields.pop("profile", "mini")
     manifest_path = fields.pop("manifest")
@@ -403,11 +456,7 @@ def cmd_dl_run(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     manifest = _checked_manifest(manifest_path, "dl-run", ("train", "val", "test"))
-    train_split = load_split(manifest, "train")
-    val_split = load_split(manifest, "val")
-    test_split = load_split(manifest, "test")
-
-    base = replace(base, bands=tuple(train_split[0].pre.bands))
+    base, stacks = _split_stacks(manifest, base)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[MetricReport] = []
@@ -416,10 +465,10 @@ def cmd_dl_run(
         run_seed = derive_seed(seed, f"repeat/{r}")
         seeds.append(run_seed)
         cfg = replace(base, seed=run_seed)
-        model, trace = bamcd.train(bamcd.build(cfg), train_split, val_split)
+        model, trace = bamcd.train(bamcd.build(cfg), stacks["train"], stacks["val"])
         bamcd.save_bamcd(out_dir / f"checkpoint_r{r}.npb", model)
         _write(out_dir / f"trace_r{r}.csv", bamcd.trace_to_text(trace))
-        reports.append(evaluate_network(model, test_split))
+        reports.append(bamcd.stack_metrics(model, *stacks["test"]))
 
     _write_run_reports(out_dir, "dl", f"bamcd-{profile}", seeds, reports)
     _echo_config(out_dir, config, seed, repeats)

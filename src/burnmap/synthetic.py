@@ -21,6 +21,7 @@ own stream, so contents do not depend on generation order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,14 +264,14 @@ def generate_sample(
     )
 
 
-def generate_dataset(cfg: SyntheticConfig, seed: int) -> list[BitemporalSample]:
-    """All splits' patches. Within a split the first round(burn_frac*n) are positive."""
-    samples = []
+def generate_dataset(cfg: SyntheticConfig, seed: int) -> Iterator[BitemporalSample]:
+    """Every split's patches, one at a time: a generator, so a consumer that
+    writes each patch as it comes (``manifest.save_dataset``) holds one patch,
+    not the dataset. Within a split the first round(burn_frac*n) are positive."""
     for split, count in cfg.counts().items():
         n_pos = int(round(cfg.burn_frac * count))
         for i in range(count):
-            samples.append(generate_sample(cfg, seed, split, i, positive=i < n_pos))
-    return samples
+            yield generate_sample(cfg, seed, split, i, positive=i < n_pos)
 
 
 def generate_scene(

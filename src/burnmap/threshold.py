@@ -12,6 +12,8 @@ through one field table (``MODEL_FIELDS``) with the run-config reader.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,31 +92,44 @@ def binarize(field: np.ndarray, threshold: float) -> np.ndarray:
         return (field >= threshold).astype(np.uint8)
 
 
-def candidate_grid(values: np.ndarray, steps: int = GRID_STEPS) -> np.ndarray:
+def _percentile(v_sorted: np.ndarray, q: float) -> float:
+    """``np.percentile(v_sorted.astype(np.float64), q)`` of a sorted, finite,
+    non-empty array, read from the two neighbours of the linear method's
+    virtual index with numpy's interpolation arithmetic, so with no copy."""
+    last = v_sorted.size - 1
+    virtual = last * (q / 100)
+    below = math.floor(virtual)
+    a, b = float(v_sorted[below]), float(v_sorted[min(below + 1, last)])
+    t = virtual - below
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def candidate_grid(v_sorted: np.ndarray, steps: int = GRID_STEPS) -> np.ndarray:
     """Evenly spaced thresholds between the 1st and 99th percentile of the
-    defined (non-NaN) values."""
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+    defined delta values, given sorted and without NaN."""
+    if v_sorted.size == 0:
         raise FitError("no defined delta values to build a threshold grid from")
-    lo, hi = np.percentile(finite.astype(np.float64), _PERCENTILES)
+    lo, hi = (_percentile(v_sorted, q) for q in _PERCENTILES)
     if not lo < hi:
         raise FitError(f"degenerate delta distribution (lo=hi={lo})")
     return np.linspace(lo, hi, steps)
 
 
-def _pool_deltas(
-    kind: IndexKind, samples: list[BitemporalSample]
-) -> tuple[np.ndarray, np.ndarray]:
-    values = []
-    labels = []
-    for s in samples:
-        values.append(delta_field(kind, s.pre, s.post).ravel())
-        labels.append(s.truth.labels.ravel())
-    return np.concatenate(values), np.concatenate(labels)
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The chunks end to end, each dropped from the list once copied, so the
+    peak is the result plus one chunk, not twice the result."""
+    out = np.empty(sum(c.size for c in chunks), chunks[0].dtype)
+    at = 0
+    for i, chunk in enumerate(chunks):
+        out[at : at + chunk.size] = chunk
+        at += chunk.size
+        chunks[i] = None
+    return out
 
 
 def fit_threshold(
-    kind: IndexKind, samples: list[BitemporalSample], steps: int = GRID_STEPS
+    kind: IndexKind, samples: Iterable[BitemporalSample], steps: int = GRID_STEPS
 ) -> ThresholdModel:
     """Grid-search the burnt-F1-optimal global threshold on pooled train pixels.
 
@@ -123,17 +138,28 @@ def fit_threshold(
     pixels at or above a grid point are those from its left insertion point
     on, so each count is one ``searchsorted`` and the scan is
     O((n + steps) log n). Burnt pixels whose delta is NaN count as misses.
+    ``samples`` may be any iterable: it is read once, and each sample is
+    reduced to its defined deltas before the next is read.
     """
-    if not samples:
+    defined, burnt_defined = [], []
+    n_pixels = total_burnt = 0
+    for s in samples:
+        values = delta_field(kind, s.pre, s.post).ravel()
+        burnt = s.truth.labels.ravel() == 1
+        finite = np.isfinite(values)
+        defined.append(values[finite])
+        burnt_defined.append(values[finite & burnt])
+        n_pixels += values.size
+        total_burnt += int(np.count_nonzero(burnt))
+    if not n_pixels:
         raise FitError("no training samples")
-    values, labels = _pool_deltas(kind, samples)
-    total_burnt = int(labels.sum())
-    if total_burnt == 0 or total_burnt == labels.size:
+    if total_burnt == 0 or total_burnt == n_pixels:
         raise FitError("training pixels contain a single class; cannot fit")
 
-    finite = np.isfinite(values)
-    v_sorted = np.sort(values[finite])
-    burnt_sorted = np.sort(values[finite & (labels == 1)])
+    v_sorted = _joined(defined)
+    v_sorted.sort()
+    burnt_sorted = _joined(burnt_defined)
+    burnt_sorted.sort()
     grid = candidate_grid(v_sorted, steps)
 
     predicted = (v_sorted.size - np.searchsorted(v_sorted, grid, "left")).astype(np.float64)
@@ -164,9 +190,9 @@ def apply_threshold(model: ThresholdModel, sample: BitemporalSample) -> np.ndarr
 
 
 def evaluate_threshold(
-    model: ThresholdModel, samples: list[BitemporalSample]
+    model: ThresholdModel, samples: Iterable[BitemporalSample]
 ) -> tuple[ConfusionCounts, MetricReport]:
-    """Pooled-pixel evaluation of a fitted model over a sample list."""
+    """Pooled-pixel evaluation of a fitted model over samples, read once."""
     counts = ConfusionCounts()
     for s in samples:
         counts = counts + accumulate(apply_threshold(model, s), s.truth.labels)

@@ -28,6 +28,7 @@ from burnmap.bamcd import (
     mini_config,
     paperlike_config,
     parameter_count,
+    stack_samples,
     train,
     trace_to_text,
 )
@@ -320,7 +321,8 @@ def test_criterion_08_network_benchmark(announce):
     cfg = mini_config(seed=200)
     assert cfg.epochs <= 30
     t0 = time.perf_counter()
-    model, trace = train(build(cfg), train_s, val_s)
+    stacks = [stack_samples(split, len(split), cfg) for split in (train_s, val_s)]
+    model, trace = train(build(cfg), *stacks)
     t_train = time.perf_counter() - t0
     assert t_train < 900.0
 
@@ -328,7 +330,7 @@ def test_criterion_08_network_benchmark(announce):
     assert report.burnt.iou >= 0.85
     assert report.burnt.iou >= oracle_report.burnt.iou
 
-    _, retrace = train(build(cfg), train_s, val_s)
+    _, retrace = train(build(cfg), *stacks)
     assert trace_to_text(retrace) == trace_to_text(trace)
 
     announce(

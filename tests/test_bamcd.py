@@ -378,7 +378,7 @@ class TestSkipModes:
     def test_diff_trains(self):
         samples = make_samples(6, 22)
         cfg = replace(TINY, skip_mode="diff", epochs=2)
-        _, trace = train(build(cfg), samples[:4], samples[4:])
+        _, trace = train(build(cfg), stack(samples[:4]), stack(samples[4:]))
         assert len(trace) == 2
         assert all(np.isfinite(t.train_loss) for t in trace)
 
@@ -442,7 +442,7 @@ class TestTraining:
     def test_zero_epochs_is_identity(self):
         model = build(replace(TINY, epochs=0))
         before = model.state_dict()
-        _, trace = train(model, make_samples(4, 21), make_samples(2, 22))
+        _, trace = train(model, stack(make_samples(4, 21)), stack(make_samples(2, 22)))
         assert trace == []
         after = model.state_dict()
         assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -452,15 +452,15 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = build(TINY)
-            _, trace = train(model, samples_t, samples_v)
+            _, trace = train(model, stack(samples_t), stack(samples_v))
             runs.append((trace, model.state_dict()))
         assert runs[0][0] == runs[1][0]
         assert all(np.array_equal(runs[0][1][k], runs[1][1][k]) for k in runs[0][1])
 
     def test_seed_changes_trace(self):
         samples_t, samples_v = make_samples(6, 31), make_samples(2, 32)
-        _, trace_a = train(build(TINY), samples_t, samples_v)
-        _, trace_b = train(build(replace(TINY, seed=12)), samples_t, samples_v)
+        _, trace_a = train(build(TINY), stack(samples_t), stack(samples_v))
+        _, trace_b = train(build(replace(TINY, seed=12)), stack(samples_t), stack(samples_v))
         assert trace_a != trace_b
 
     def test_bce_training_loss_matches_engine(self):
@@ -468,7 +468,7 @@ class TestTraining:
         the same shuffled batch, bit for bit."""
         samples_t, samples_v = make_samples(4, 41), make_samples(2, 42)
         config = replace(TINY, epochs=1, batch_size=4, loss="bce")
-        _, trace = train(build(config), samples_t, samples_v)
+        _, trace = train(build(config), stack(samples_t), stack(samples_v))
 
         replica = build(config)
         replica.train()
@@ -540,7 +540,7 @@ class TestTraining:
         config = replace(TINY, epochs=20, loss="bce_dice", seed=5, learning_rate=0.01)
         model = build(config)
         val = make_samples(3, 62)
-        _, trace = train(model, make_samples(8, 61), val)
+        _, trace = train(model, stack(make_samples(8, 61)), stack(val))
         assert max(t.val_f1_burnt for t in trace) >= 0.80
 
         # swapping acquisition order must change the prediction
@@ -553,7 +553,7 @@ class TestTraining:
         config = replace(TINY, epochs=6, seed=3)
         model = build(config)
         val = make_samples(2, 72)
-        model, trace = train(model, make_samples(6, 71), val)
+        model, trace = train(model, stack(make_samples(6, 71)), stack(val))
         v_pre, v_post, v_truth = stack(val)
         refit = bamcd.validation_f1(model, v_pre, v_post, v_truth)
         assert refit == max(t.val_f1_burnt for t in trace)
@@ -562,7 +562,7 @@ class TestTraining:
         model = build(TINY)
         model.head.weight.data[:] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0") as info:
-            train(model, make_samples(4, 81), make_samples(2, 82))
+            train(model, stack(make_samples(4, 81)), stack(make_samples(2, 82)))
         assert info.value.epoch == 0
 
     def test_nan_input_pixel_raises_divergence(self):
@@ -574,7 +574,7 @@ class TestTraining:
         with pytest.raises(
             DivergenceError, match=r"encoder\.stem_conv\.weight .*epoch 0"
         ) as info:
-            train(build(config), samples, make_samples(2, 84))
+            train(build(config), stack(samples), stack(make_samples(2, 84)))
         assert info.value.epoch == 0
 
     def test_nan_running_variance_raises_divergence(self):
@@ -587,16 +587,18 @@ class TestTraining:
         with pytest.raises(
             DivergenceError, match=r"decoder\.0\.block\.bn1\.running_var .*epoch 0"
         ) as info:
-            train(model, make_samples(4, 85), make_samples(2, 86))
+            train(model, stack(make_samples(4, 85)), stack(make_samples(2, 86)))
         assert info.value.epoch == 0
         assert all(np.isfinite(p.data).all() for p in model.parameters())
 
     def test_empty_split_rejected(self):
         model = build(TINY)
+        full = stack(make_samples(2, 82))
+        empty = tuple(a[:0] for a in full)
         with pytest.raises(DataError, match="train split"):
-            train(model, [], make_samples(2, 82))
+            train(model, empty, full)
         with pytest.raises(DataError, match="val split"):
-            train(model, make_samples(2, 81), [])
+            train(model, full, empty)
 
     def test_trace_text_layout(self):
         trace = [
@@ -710,7 +712,7 @@ class TestScoring:
             counts = counts + accumulate(probs >= 0.5, s.truth.labels)
         assert margin > 1e-4
         assert 0 < counts.tp and 0 < counts.tn  # both classes predicted
-        x_pre, x_post, truth = bamcd.stack_samples(samples, TINY)
+        x_pre, x_post, truth = bamcd.stack_samples(samples, len(samples), TINY)
         report = bamcd.stack_metrics(model, x_pre, x_post, truth)
         assert report == compute_metrics(counts)
 
@@ -719,9 +721,9 @@ class TestScoring:
         training mode the maps it gives in eval mode, and leave its
         batch-norm running statistics where they were."""
         model = build(replace(TINY, epochs=2))
-        train(model, make_samples(4, 99), make_samples(2, 100))  # statistics off their init
+        train(model, stack(make_samples(4, 99)), stack(make_samples(2, 100)))  # statistics off their init
         samples = make_samples(6, 101)
-        x_pre, x_post, truth = bamcd.stack_samples(samples, TINY)
+        x_pre, x_post, truth = bamcd.stack_samples(samples, len(samples), TINY)
 
         def scene(x):  # tiles 0-2 over tiles 3-5: 32x48, two batches of four and two
             rows = [np.concatenate(list(x[i:i + 3]), axis=2) for i in (0, 3)]
@@ -753,7 +755,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = build(TINY)
         # move away from the fresh-init state so the test is not vacuous
-        train(model, make_samples(4, 95), make_samples(2, 96))
+        train(model, stack(make_samples(4, 95)), stack(make_samples(2, 96)))
         path = tmp_path / "model.npb"
         bamcd.save_bamcd(path, model)
         back = bamcd.load_bamcd(path)

@@ -267,6 +267,41 @@ class TestExitCodes:
         assert rc == 3
         assert f"patches/{patch.name}: truncated container" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["index-eval", "ml-run", "dl-run"])
+    @pytest.mark.parametrize("record", ["ev-train-000", "ev-test-000"])
+    def test_truncated_patch_leaves_no_output(self, dataset_dir, tmp_path, capsys, command, record):
+        """Each command reads both splits through before it creates --out, so
+        a damaged record of either exits 3 naming the file and writes nothing.
+        ev-train-000 is positive, so ml-run pools and loads it."""
+        data = shutil.copytree(dataset_dir, tmp_path / "data")
+        patch = data / "patches" / f"{record}.npb"
+        patch.write_bytes(patch.read_bytes()[:-100])
+        items = {"manifest": str(data / "manifest.csv")}
+        items.update({"index-eval": {"index": "NBR"}, "ml-run": {"method": "rf"}}.get(command, {}))
+        cfg = write_config(tmp_path / "c.cfg", items)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert f"patches/{record}.npb: truncated container" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_synth_failing_partway_writes_no_manifest(self, tmp_path, capsys, monkeypatch):
+        """synth writes each patch as it is generated and the manifest last:
+        a patch that cannot be generated exits 3 and leaves the patches
+        written before it, but no manifest."""
+        from burnmap import synthetic
+
+        monkeypatch.setattr(synthetic, "_MIN_BURNT_PIXELS", 32 * 32 + 1)
+        # round(0.5 * 1) = 0, so the one train patch is negative; the first
+        # val patch is positive and cannot place its burn scar.
+        cfg = write_config(
+            tmp_path / "s.cfg", {**SYNTH_ITEMS, "n_train": "1", "n_val": "2", "n_test": "2"}
+        )
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 3
+        assert "could not place a burn scar" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "d" / "patches").iterdir()] == ["ev-train-000.npb"]
+        assert not (tmp_path / "d" / "manifest.csv").exists()
+
     @pytest.mark.parametrize("value", [256, 0.5])
     def test_non_binary_scene_truth_is_data_error(self, tmp_path, capsys, value):
         rng = np.random.default_rng(9)
@@ -391,6 +426,8 @@ class TestConfigValues:
             ("index-eval", {"index": "NBR", "steps": "1000000000000"}, "steps"),
             ("synth", {"patch_size": "1025"}, "patch_size"),
             ("synth", {"patch_size": "1000000"}, "patch_size"),
+            ("ml-run", {"method": "mlp", "schema": "dSI", "mlp_hidden": "1000000000000"},
+             "mlp_hidden"),
         ],
     )
     def test_out_of_range_value_is_config_error(

@@ -21,7 +21,7 @@ CFG = SyntheticConfig(patch_size=16, n_train=3, n_val=1, n_test=1, water_prob=1.
 
 @pytest.fixture()
 def dataset():
-    return generate_dataset(CFG, seed=12)
+    return list(generate_dataset(CFG, seed=12))
 
 
 class TestRoundTrip:
@@ -61,6 +61,24 @@ class TestValidation:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             save_dataset([], tmp_path)
+
+    def test_empty_generator_creates_no_directory(self, tmp_path):
+        with pytest.raises(DataError, match="empty"):
+            save_dataset(iter([]), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_generator_is_written_one_sample_at_a_time(self, tmp_path):
+        """Each patch is written before the next sample is asked for."""
+        written = []
+
+        def samples():
+            for s in generate_dataset(CFG, seed=12):
+                written.append(sorted(p.name for p in (tmp_path / "patches").glob("*.npb")))
+                yield s
+
+        m = save_dataset(samples(), tmp_path)
+        assert [len(names) for names in written] == list(range(len(m.entries)))
+        assert (tmp_path / MANIFEST_NAME).exists()
 
     def test_duplicate_event_ids_rejected(self, tmp_path, dataset):
         twice = dataset + dataset[:1]
@@ -103,9 +121,9 @@ class TestValidation:
             read_manifest(p)
 
     def test_mixed_patch_sizes_rejected(self, tmp_path, dataset):
-        other = generate_dataset(
+        other = list(generate_dataset(
             SyntheticConfig(patch_size=32, n_train=1, n_val=1, n_test=1), seed=1
-        )
+        ))
         with pytest.raises(DataError, match="mixed"):
             save_dataset(dataset + other, tmp_path)
 

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from burnmap import nn, runs
 from burnmap.bamcd import load_bamcd
 from burnmap.errors import ConfigError, DataError
-from burnmap.features import FeatureSchema, dsi_schema
+from burnmap.features import FeatureSchema, assemble_features, dsi_schema, sample_pixels
 from burnmap.forest import load_forest
-from burnmap.manifest import read_manifest, save_dataset
+from burnmap.manifest import load_split, read_manifest, save_dataset
 from burnmap.mlp import load_mlp
 from burnmap.runs import (
     _synthetic_config,
@@ -396,6 +397,25 @@ class TestMlRun:
         assert model.widths == (61, 16, 1)
         assert not (out / "importances.txt").exists()
 
+    def test_streamed_rows_match_the_loaded_split(self, tmp_path):
+        """Planning from the manifest rows and drawing patch by patch gives
+        the rows of sample_pixels and assemble_features over the loaded
+        split, also when positive and negative rows interleave."""
+        cfg = SyntheticConfig(
+            patch_size=24, n_train=10, n_val=1, n_test=1, noise=0.02, burn_frac=0.3
+        )
+        samples = list(generate_dataset(cfg, seed=4))
+        # The first three are positive; three of the seven negatives are pooled.
+        train = [samples[i] for i in (3, 0, 4, 5, 1, 6, 7, 2, 8, 9)]
+        save_dataset(train + samples[10:], tmp_path)
+        manifest = read_manifest(tmp_path / "manifest.csv")
+        schema, x, y, nan_counts = runs._train_features(manifest, "All", None, 200, 3)
+        loaded = load_split(manifest, "train")
+        whole = assemble_features(schema, loaded, sample_pixels(loaded, 200, 3))
+        assert x.tobytes() == whole.x.tobytes()
+        assert y.tobytes() == whole.y.tobytes()
+        assert nan_counts == whole.nan_counts
+
     def test_saved_forest_loads(self, rf_all_run):
         model = load_forest(rf_all_run / "model_r0.npb")
         assert len(model.trees) == 15
@@ -454,6 +474,85 @@ class TestDlRun:
         cfg = dict(self.DL_CFG, manifest=str(tmp_path / "nowhere" / "manifest.csv"))
         with pytest.raises(DataError, match="manifest not found"):
             cmd_dl_run(cfg, tmp_path / "out", seed=6)
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDatasetMemory:
+    """A dataset command holds one patch at a time, so its traced peak on
+    24/8/8 patches of 64x64 is within two patches' bytes of its peak on
+    6/2/2; dl-run holds its stacks and not much more."""
+
+    PATCH_BYTES = 2 * 10 * 64 * 64 * 4 + 2 * 64 * 64  # float32 pre/post, uint8 truth/water
+
+    @pytest.fixture(scope="class")
+    def datasets(self, tmp_path_factory) -> dict[int, dict]:
+        """Synth configs by train count, each written once already, which
+        also warms up every first-call allocation."""
+        root = tmp_path_factory.mktemp("memory")
+        configs = {
+            n: {"n_train": str(n), "n_val": str(n // 3), "n_test": str(n // 3),
+                "patch_size": "64", "noise": "0.02"}
+            for n in (6, 24)
+        }
+        return {
+            n: {"config": cfg, "manifest": str(cmd_synth(dict(cfg), root / f"d{n}", seed=2))}
+            for n, cfg in configs.items()
+        }
+
+    def assert_flat(self, run):
+        run(6)  # a command's first call in a process makes one-time allocations
+        small, large = (traced_peak(lambda: run(n)) for n in (6, 24))
+        assert large - small <= 2 * self.PATCH_BYTES, (small, large)
+
+    def test_synth(self, datasets, tmp_path):
+        self.assert_flat(lambda n: cmd_synth(dict(datasets[n]["config"]), tmp_path / f"s{n}", 2))
+
+    def test_index_eval(self, datasets, tmp_path):
+        self.assert_flat(lambda n: cmd_index_eval(
+            {"manifest": datasets[n]["manifest"], "index": "NBR"}, tmp_path / f"i{n}", 2
+        ))
+
+    def test_ml_run(self, datasets, tmp_path):
+        # 400 pixels fill every quota of both sets, so the sample is one size.
+        self.assert_flat(lambda n: cmd_ml_run(
+            {"manifest": datasets[n]["manifest"], "method": "rf", "rf_trees": "5",
+             "n_pixels": "400"},
+            tmp_path / f"r{n}", 2,
+        ))
+
+    def test_dl_run_holds_its_stacks(self, datasets, tmp_path, monkeypatch):
+        """Memory held when training starts is the model, its optimizer's
+        buffers, the NCHW stacks of the three splits and at most two patches."""
+        held = {}
+
+        class Started(Exception):
+            pass
+
+        def start(module, optimizer, *args):
+            held["bytes"] = tracemalloc.get_traced_memory()[0]
+            held["optimizer"] = sum(
+                v.nbytes for v in vars(optimizer).values() if isinstance(v, np.ndarray)
+            )
+            raise Started
+
+        monkeypatch.setattr(nn, "train_epochs", start)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Started):
+                cmd_dl_run({"manifest": datasets[24]["manifest"]}, tmp_path / "net", 2)
+        finally:
+            tracemalloc.stop()
+        stacks = 40 * (2 * 10 * 64 * 64 * 4 + 64 * 64 * 4)  # pre, post and float32 truth
+        assert held["bytes"] - held["optimizer"] <= stacks + 2 * self.PATCH_BYTES, held
 
 
 class TestReport:

@@ -118,7 +118,7 @@ class TestCorruptions:
 
 class TestDatasetLayout:
     def test_counts_and_split_assignment(self):
-        ds = generate_dataset(CLEAN, seed=0)
+        ds = list(generate_dataset(CLEAN, seed=0))
         assert len(ds) == 8
         by_split = {sp: [s for s in ds if s.split == sp] for sp in ("train", "val", "test")}
         assert [len(by_split[sp]) for sp in ("train", "val", "test")] == [4, 2, 2]

@@ -15,10 +15,16 @@ from burnmap.threshold import (
     ThresholdModel,
     apply_threshold,
     binarize,
-    candidate_grid,
     evaluate_threshold,
     fit_threshold,
 )
+
+
+def percentile_grid(values, steps):
+    """The candidate thresholds as numpy computes them: evenly spaced from
+    the 1st to the 99th percentile of a float64 copy of the defined values."""
+    defined = values[np.isfinite(values)].astype(np.float64)
+    return np.linspace(*np.percentile(defined, (1.0, 99.0)), steps)
 
 
 def brute_force_fit(kind, samples, steps=GRID_STEPS):
@@ -27,7 +33,7 @@ def brute_force_fit(kind, samples, steps=GRID_STEPS):
     pooled = np.concatenate(
         [delta_field(kind, s.pre, s.post).ravel() for s in samples]
     )
-    grid = candidate_grid(pooled, steps)
+    grid = percentile_grid(pooled, steps)
     best_t, best_f1 = None, -1.0
     for t in grid:
         tallies = [
@@ -53,7 +59,7 @@ def argsort_fit(kind, samples, steps=GRID_STEPS):
     values = np.concatenate([delta_field(kind, s.pre, s.post).ravel() for s in samples])
     labels = np.concatenate([s.truth.labels.ravel() for s in samples])
     total_burnt = int(labels.sum())
-    grid = candidate_grid(values, steps)
+    grid = percentile_grid(values, steps)
     finite = np.isfinite(values)
     v = values[finite]
     order = np.argsort(v, kind="stable")
@@ -77,7 +83,7 @@ def brute_force_arrays(values, labels, steps):
     """(threshold, train_f1) of binarize() scored at every grid point of
     pooled delta and label arrays, first argmax."""
     best_t, best_f1 = None, -1.0
-    for t in candidate_grid(values, steps):
+    for t in percentile_grid(values, steps):
         f1 = compute_metrics(accumulate(binarize(values, t), labels)).burnt.f1
         if f1 > best_f1:
             best_t, best_f1 = float(t), float(f1)
@@ -154,7 +160,7 @@ class TestFitThreshold:
         rng = np.random.default_rng(12)
         values = (np.repeat(np.arange(101), 10) / 4).astype(np.float32)
         labels = ((values >= 12) ^ (rng.random(values.size) < 0.2)).astype(np.uint8)
-        grid = candidate_grid(values, 99)
+        grid = percentile_grid(values, 99)
         assert np.isin(grid, values).all()
         samples = array_samples(monkeypatch, values.reshape(10, -1), labels.reshape(10, -1))
         model = fit_threshold(IndexKind.NBR, samples, steps=99)
@@ -217,6 +223,20 @@ class TestFitThreshold:
     def test_empty_samples(self):
         with pytest.raises(FitError):
             fit_threshold(IndexKind.NBR, [])
+        with pytest.raises(FitError):
+            fit_threshold(IndexKind.NBR, iter([]))
+
+    def test_reads_a_generator_once(self):
+        samples = train_samples(seed=8)
+        read = []
+
+        def once():
+            for s in samples:
+                read.append(s.event_id)
+                yield s
+
+        assert fit_threshold(IndexKind.NBR, once()) == fit_threshold(IndexKind.NBR, samples)
+        assert read == [s.event_id for s in samples]
 
     def test_degenerate_distribution(self):
         samples = train_samples(seed=6, noise=0.0, n=2)
@@ -232,6 +252,22 @@ class TestFitThreshold:
         m = fit_threshold(IndexKind.MIRBI, samples)
         assert m.grid_lo <= m.threshold <= m.grid_hi
         assert m.grid_steps == GRID_STEPS
+
+
+class TestPercentile:
+    @pytest.mark.parametrize("q", [0.0, 1.0, 37.5, 50.0, 99.0, 100.0])
+    def test_bitwise_numpy_on_float64(self, q):
+        """The fit reads the grid ends off its sorted float32 deltas; they
+        must be the bits of numpy's linear percentile of a float64 copy."""
+        rng = np.random.default_rng(17)
+        sizes = [1, 2, 3, 7, 100, 101, 4096, *rng.integers(1, 5000, 40)]
+        for n in sizes:
+            v = rng.normal(0.0, 1.0, n).astype(np.float32)
+            v[rng.random(n) < 0.2] = 0.5  # ties
+            v.sort()
+            want = np.percentile(v.astype(np.float64), q)
+            got = threshold._percentile(v, q)
+            assert np.float64(got).tobytes() == want.tobytes(), (n, q)
 
 
 class TestSerialization:
